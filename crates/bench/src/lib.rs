@@ -2,13 +2,16 @@
 
 //! # smc-bench — workload generators for the evaluation harness
 //!
-//! Shared model builders used by the Criterion benches (one per
-//! experiment of DESIGN.md) and by the `experiments` report binary that
-//! regenerates the paper-vs-measured tables of EXPERIMENTS.md.
+//! Shared model builders used by the `experiments` report binary that
+//! regenerates the paper-vs-measured tables of EXPERIMENTS.md, by the
+//! `tests/witness_shapes.rs` pins of those tables, and by the `smc bench`
+//! observatory ([`observatory`]) that owns the `BENCH_kernel.json` ledger.
 
 pub mod observatory;
 
-use smc_kripke::{ExplicitModel, KripkeError, SymbolicModel};
+use smc_checker::{Checker, CycleStrategy};
+use smc_kripke::{condensation, ExplicitModel, KripkeError, SymbolicModel};
+use smc_logic::ctl;
 
 /// A single directed ring of `n` states, one fairness label `p` on one
 /// state — the Figure 1 workload (one SCC; the witness cycle closes on
@@ -105,6 +108,54 @@ pub fn random_fair_graph(n: usize, seed: u64, edge_factor: usize) -> ExplicitMod
     g
 }
 
+/// The shape of a fair `EG true` witness: the EXP-2/EXP-3 and A1 columns
+/// of EXPERIMENTS.md.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WitnessShape {
+    /// States on the lasso, prefix and cycle.
+    pub length: usize,
+    /// States on the cycle.
+    pub cycle: usize,
+    /// Restarts from the frontier state, each one deeper in the SCC DAG.
+    pub restarts: usize,
+    /// Attempts the stay-set check cut short (0 under `Restart`).
+    pub stay_exits: usize,
+    /// Strongly connected components the lasso passes through.
+    pub sccs_spanned: usize,
+}
+
+/// Builds the fair `EG true` witness on `graph`, with its label `p` as
+/// the only fairness constraint, under `strategy`, and measures its shape.
+///
+/// # Errors
+///
+/// Fails when `graph` has no `p` label or no fair path, or when it has
+/// more than 2^16 reachable states.
+pub fn witness_shape(
+    graph: &ExplicitModel,
+    strategy: CycleStrategy,
+) -> Result<WitnessShape, Box<dyn std::error::Error>> {
+    let mut model = graph.to_symbolic()?;
+    let p = model.ap("p")?;
+    model.add_fairness(p);
+    let mut checker = Checker::new(&mut model).with_strategy(strategy);
+    let w = checker.witness(&ctl::parse("EG true")?)?;
+    let stats = checker.last_witness_stats().expect("an EG witness records its stats");
+    let (explicit, states) = checker.model().enumerate(1 << 16)?;
+    let path: Vec<usize> = w
+        .states
+        .iter()
+        .map(|s| states.iter().position(|t| t == s).expect("witness states are reachable"))
+        .collect();
+    Ok(WitnessShape {
+        length: w.len(),
+        cycle: w.cycle_len(),
+        restarts: stats.restarts,
+        stay_exits: stats.stay_exits,
+        sccs_spanned: condensation(&explicit).components_visited(&path).len(),
+    })
+}
+
 /// Converts and wires `nfair` fairness labels into the symbolic model.
 ///
 /// # Errors
@@ -125,7 +176,7 @@ pub fn to_symbolic_with_fairness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smc_kripke::{condensation, tarjan_scc};
+    use smc_kripke::tarjan_scc;
 
     #[test]
     fn ring_is_one_scc() {

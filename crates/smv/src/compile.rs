@@ -261,7 +261,18 @@ fn compile_module_full(
                             }
                             symbols.iter().map(|s| Value::Sym(s.clone())).collect()
                         }
-                        crate::ast::VarType::Range(lo, hi) => (*lo..=*hi).map(Value::Int).collect(),
+                        crate::ast::VarType::Range(lo, hi) => {
+                            let width = i128::from(*hi) - i128::from(*lo) + 1;
+                            if width > MAX_RANGE_VALUES {
+                                return Err(SmvError::semantic(format!(
+                                    "range {lo}..{hi} of variable {:?} has {width} values; \
+                                     the limit is {MAX_RANGE_VALUES}",
+                                    d.name
+                                ))
+                                .with_span(d.span));
+                            }
+                            (*lo..=*hi).map(Value::Int).collect()
+                        }
                         crate::ast::VarType::Instance(m, _) => {
                             return Err(SmvError::semantic(format!(
                                 "unflattened instance of module {m:?} (use compile_program)"
@@ -429,6 +440,11 @@ fn compile_module_full(
     }
     Ok(compiled)
 }
+
+/// The most values a ranged variable may take. The compiler lists every
+/// value of a domain before it allocates bits, so a wider range would
+/// exhaust memory (or overflow the length) before any budget could trip.
+const MAX_RANGE_VALUES: i128 = 1 << 16;
 
 fn bits_for(domain: usize) -> usize {
     debug_assert!(domain >= 1);

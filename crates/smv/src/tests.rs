@@ -274,6 +274,25 @@ fn semantic_errors_are_reported() {
 }
 
 #[test]
+fn ranges_wider_than_the_limit_are_rejected_at_the_declaration() {
+    // 65,536 values is the widest range that compiles; one more is an
+    // error pointing at the declaration, raised before any value is listed.
+    let src = "MODULE main VAR x : 0..65536; SPEC AG x >= 0";
+    let err = compile(src).unwrap_err();
+    assert!(matches!(err, SmvError::Semantic { .. }), "{err}");
+    let text = format!("{err}");
+    assert!(text.contains("65537 values") && text.contains("limit is 65536"), "{text}");
+    let span = err.span().expect("the declaration's span");
+    assert_eq!(&src[span.start..span.end], "x : 0..65536;");
+
+    // The width of a full-i64 range does not fit in i64.
+    let src = "MODULE main VAR x : -9223372036854775807..9223372036854775807;";
+    let err = compile(src).unwrap_err();
+    assert!(format!("{err}").contains("18446744073709551615 values"), "{err}");
+    assert!(err.span().is_some(), "{err}");
+}
+
+#[test]
 fn exhaustive_case_over_valid_domain_only() {
     // The enum has 3 values in 2 bits; the case covers all three domain
     // values — the invalid 4th encoding must not count as uncovered.

@@ -13,6 +13,11 @@ cargo test --workspace -q
 echo "== static quality gate =="
 ./scripts/lint.sh
 
+echo "== experiments report (the EXPERIMENTS.md tables) =="
+out=$(cargo run -q --release -p smc-bench --bin experiments) || { echo "experiments failed"; exit 1; }
+grep -Eq 'counterexample replays on model +- +true$' <<<"$out" \
+    || { echo "experiments: the arbiter counterexample no longer replays: $out"; exit 1; }
+
 echo "== bench observatory smoke (1 rep, gates off) =="
 ./target/release/smc bench --reps 1 --no-gate --baseline BENCH_kernel.json >/dev/null
 

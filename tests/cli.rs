@@ -449,6 +449,19 @@ fn lint_syntax_error_prints_code_span_snippet_and_exits_2() {
 }
 
 #[test]
+fn check_rejects_a_too_wide_range_with_a_caret_on_the_declaration() {
+    let path = write_temp("wide_range", "MODULE main\nVAR x : 0..4000000000;\nSPEC AG x >= 0\n");
+    let out = smc().arg("check").arg(&path).output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "a semantic error is an input error");
+    let text =
+        format!("{}{}", String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(text.contains("error[E002]"), "{text}");
+    assert!(text.contains(":2:5"), "span points at the declaration: {text}");
+    assert!(text.contains("    ^^^^^^^^^^^^^^^^^^"), "caret under `x : 0..4000000000;`: {text}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn check_routes_load_errors_through_diagnostics() {
     let path = write_temp("check_diag", "MODULE main\nVAR x : boolean;\nSPEC EF ghost\n");
     let out = smc().arg("check").arg(&path).output().expect("runs");

@@ -123,6 +123,33 @@ fn input_errors_answer_in_band_with_exit_class_2() {
 }
 
 #[test]
+fn a_too_wide_range_is_an_input_error_and_the_server_keeps_serving() {
+    // One worker: the wide job must finish before the next one can run,
+    // so an abort while listing the domain would leave `next` unanswered.
+    let wide = "MODULE main\nVAR x : 0..4000000000;\nSPEC AG x >= 0\n";
+    let (code, lines) = serve(
+        &["--jobs", "1"],
+        &[
+            format!(r#"{{"op":"check","id":"wide","source":"{}"}}"#, esc(wide)),
+            format!(r#"{{"op":"check","id":"next","source":"{}"}}"#, esc(COUNTER)),
+        ],
+    );
+    assert_eq!(lines.len(), 3, "two responses + drained summary: {lines:?}");
+    assert!(lines[0].contains(r#""id":"wide""#), "{lines:?}");
+    assert!(lines[0].contains(r#""outcome":"input_error","exit_class":2"#), "{lines:?}");
+    assert!(lines[0].contains("the limit is 65536"), "{lines:?}");
+    assert!(lines[1].contains(r#""id":"next""#), "{lines:?}");
+    assert!(lines[1].contains(r#""outcome":"pass""#), "{lines:?}");
+    assert!(
+        lines[2]
+            .starts_with(r#"{"schema":1,"op":"drained","served":2,"rejected":0,"worst_exit":2"#),
+        "{}",
+        lines[2]
+    );
+    assert_eq!(code, 2);
+}
+
+#[test]
 fn exhaustion_and_shutdown_op_round_trip() {
     let (code, lines) = serve(
         &["--quarantine-after", "0"],
