@@ -9,9 +9,9 @@ use smc_logic::ctlstar::StateFormula;
 use smc_logic::Ctl;
 
 use crate::error::CheckError;
-use crate::fair::{fair_eg, fair_states};
+use crate::fair::{fair_eg, FairRings};
 use crate::fairness_class::{check_efairness, witness_efairness, FairnessConjunct, ResolvedSide};
-use crate::fixpoint::{check_eu, check_ex};
+use crate::fixpoint::{check_ex, eu_rings};
 use crate::govern::{self, Progress};
 use crate::obs;
 use crate::witness::{
@@ -50,11 +50,29 @@ pub struct CheckOutcome {
     pub trace: Option<Trace>,
 }
 
+/// One memoized sub-formula: its state set and the approximation rings
+/// its fixpoint saved — the single ring list of an `EU` node, one list
+/// per fairness constraint for a fair `EG` node, none otherwise. Witness
+/// construction walks these instead of running the fixpoint again.
+#[derive(Debug, Clone)]
+struct Memo {
+    set: Bdd,
+    rings: FairRings,
+}
+
+impl Memo {
+    fn handles(&self) -> impl Iterator<Item = Bdd> + '_ {
+        std::iter::once(self.set).chain(self.rings.iter().flatten().copied())
+    }
+}
+
 /// Symbolic CTL model checker with fairness constraints and the witness
 /// generator of Clarke–Grumberg–McMillan–Zhao.
 ///
 /// Borrows the model mutably (all BDD work happens in the model's
-/// manager). Sub-formula results are memoized per checker instance.
+/// manager). Sub-formula results are memoized per checker instance,
+/// together with the rings of every `EU`/`EG` fixpoint, so each fixpoint
+/// runs once per formula node.
 ///
 /// # Examples
 ///
@@ -79,8 +97,7 @@ pub struct CheckOutcome {
 pub struct Checker<'m> {
     model: &'m mut SymbolicModel,
     strategy: CycleStrategy,
-    fair: Option<Bdd>,
-    cache: HashMap<Ctl, Bdd>,
+    cache: HashMap<Ctl, Memo>,
     last_stats: Option<WitnessStats>,
     pin_depth: u32,
 }
@@ -92,7 +109,6 @@ impl<'m> Checker<'m> {
         Checker {
             model,
             strategy: CycleStrategy::default(),
-            fair: None,
             cache: HashMap::new(),
             last_stats: None,
             pin_depth: 0,
@@ -100,7 +116,7 @@ impl<'m> Checker<'m> {
     }
 
     /// Runs a public entry point with the memo pinned: every cached state
-    /// set (and the fair set) is protected so the governor's degradation
+    /// set and ring is protected so the governor's degradation
     /// ladder — which may GC mid-fixpoint, keeping only roots and
     /// protected nodes — cannot invalidate a memoized handle. Entries
     /// inserted *during* the call are protected at insert time (see
@@ -112,22 +128,16 @@ impl<'m> Checker<'m> {
         body: impl FnOnce(&mut Self) -> Result<T, CheckError>,
     ) -> Result<T, CheckError> {
         if self.pin_depth == 0 {
-            for &b in self.cache.values() {
+            for b in self.cache.values().flat_map(Memo::handles) {
                 self.model.manager_mut().protect(b);
-            }
-            if let Some(f) = self.fair {
-                self.model.manager_mut().protect(f);
             }
         }
         self.pin_depth += 1;
         let result = body(self);
         self.pin_depth -= 1;
         if self.pin_depth == 0 {
-            for &b in self.cache.values() {
+            for b in self.cache.values().flat_map(Memo::handles) {
                 self.model.manager_mut().unprotect(b);
-            }
-            if let Some(f) = self.fair {
-                self.model.manager_mut().unprotect(f);
             }
         }
         result
@@ -158,15 +168,7 @@ impl<'m> Checker<'m> {
     /// number of reclaimed nodes.
     pub fn gc(&mut self) -> usize {
         self.cache.clear();
-        let keep: Vec<_> = self.fair.into_iter().collect();
-        for &b in &keep {
-            self.model.manager_mut().protect(b);
-        }
-        let reclaimed = self.model.manager_mut().gc(&[]);
-        for &b in &keep {
-            self.model.manager_mut().unprotect(b);
-        }
-        reclaimed
+        self.model.manager_mut().gc(&[])
     }
 
     /// Checks a specification: evaluates its satisfying state set and
@@ -338,34 +340,46 @@ impl<'m> Checker<'m> {
         Ok(out)
     }
 
-    /// The `fair` state set (`CheckFair(EG true)`), memoized. `true` when
-    /// the model declares no fairness constraints.
+    /// The `fair` state set (`CheckFair(EG true)`): the memo entry of
+    /// `EG true`. `true` when the model declares no fairness constraints.
     ///
     /// # Errors
     ///
     /// [`CheckError::ResourceExhausted`] if the manager's budget trips
     /// during the fixpoint.
     pub fn fair(&mut self) -> Result<Bdd, CheckError> {
-        self.pinned(|c| {
-            if let Some(f) = c.fair {
-                return Ok(f);
-            }
-            let f = if c.model.fairness().is_empty() { Bdd::TRUE } else { fair_states(c.model)? };
-            // Commit and pin before memoizing (see `check_enf`); the pin
-            // is released when the outermost public call exits.
-            govern::poll(c.model, Phase::Check, Progress::default())?;
-            c.model.manager_mut().protect(f);
-            c.fair = Some(f);
-            Ok(f)
-        })
+        if self.model.fairness().is_empty() {
+            return Ok(Bdd::TRUE);
+        }
+        self.pinned(|c| c.check_enf(&Ctl::eg(Ctl::True)))
     }
 
     /// `Check` over existential-normal-form formulas, with memoization.
     fn check_enf(&mut self, formula: &Ctl) -> Result<Bdd, CheckError> {
-        if let Some(&hit) = self.cache.get(formula) {
-            return Ok(hit);
+        Ok(self.memo(formula)?.set)
+    }
+
+    /// The memo entry of an existential-normal-form formula, computing
+    /// (and pinning) it on a miss.
+    fn memo(&mut self, formula: &Ctl) -> Result<&Memo, CheckError> {
+        if !self.cache.contains_key(formula) {
+            let memo = self.compute(formula)?;
+            // Commit the result's nodes before memoizing — a later trip's
+            // transaction rollback must not invalidate a cached handle —
+            // and pin them so the degradation ladder's GC keeps every
+            // memo entry live. The pin is released when the outermost
+            // public call exits (see `pinned`).
+            govern::poll(self.model, Phase::Check, Progress::default())?;
+            for b in memo.handles() {
+                self.model.manager_mut().protect(b);
+            }
+            self.cache.insert(formula.clone(), memo);
         }
-        let result = match formula {
+        Ok(&self.cache[formula])
+    }
+
+    fn compute(&mut self, formula: &Ctl) -> Result<Memo, CheckError> {
+        let set = match formula {
             Ctl::True => Bdd::TRUE,
             Ctl::False => Bdd::FALSE,
             Ctl::Atom(name) => self.model.ap(name)?,
@@ -396,30 +410,24 @@ impl<'m> Checker<'m> {
                 let sg = self.check_enf(g)?;
                 let fair = self.fair()?;
                 let target = self.model.manager_mut().and(sg, fair);
-                check_eu(self.model, sf, target)?
+                let rings = eu_rings(self.model, sf, target)?;
+                return Ok(Memo { set: rings[rings.len() - 1], rings: vec![rings] });
             }
             Ctl::Eg(f) => {
                 let sf = self.check_enf(f)?;
                 let constraints = self.model.fairness().to_vec();
-                fair_eg(self.model, sf, &constraints)?
+                let (set, rings) = fair_eg(self.model, sf, &constraints)?;
+                return Ok(Memo { set, rings });
             }
             // Non-basis operators: normalize and recurse (defensive; the
             // public entry points normalize up front).
             other => {
                 let enf = other.to_existential_form();
                 debug_assert_ne!(&enf, other, "normalisation must make progress");
-                self.check_enf(&enf)?
+                return self.memo(&enf).cloned();
             }
         };
-        // Commit the result's nodes before memoizing — a later trip's
-        // transaction rollback must not invalidate a cached handle — and
-        // pin them so the degradation ladder's GC keeps every memo entry
-        // live. The pin is released when the outermost public call exits
-        // (see `pinned`).
-        govern::poll(self.model, Phase::Check, Progress::default())?;
-        self.model.manager_mut().protect(result);
-        self.cache.insert(formula.clone(), result);
-        Ok(result)
+        Ok(Memo { set, rings: Vec::new() })
     }
 
     /// Recursive trace construction: from a state satisfying `formula`
@@ -472,12 +480,9 @@ impl<'m> Checker<'m> {
                 let tail = self.explain(&next, f)?;
                 Ok(splice(vec![state.clone(), next], tail))
             }
-            Ctl::Eu(f, g) => {
-                let sf = self.check_enf(f)?;
-                let sg = self.check_enf(g)?;
-                let fair = self.fair()?;
-                let target = self.model.manager_mut().and(sg, fair);
-                let path = witness_eu(self.model, sf, target, state)?;
+            Ctl::Eu(_, g) => {
+                let rings = self.memo(formula)?.rings[0].clone();
+                let path = witness_eu(self.model, &rings, state)?;
                 let last = path
                     .last()
                     .ok_or_else(|| CheckError::WitnessConstruction("empty EU witness path".into()))?
@@ -487,9 +492,9 @@ impl<'m> Checker<'m> {
             }
             Ctl::Eg(f) => {
                 let sf = self.check_enf(f)?;
-                let constraints = self.model.fairness().to_vec();
+                let Memo { set, rings } = self.memo(formula)?.clone();
                 let (lasso, stats) =
-                    witness_eg_fair(self.model, sf, &constraints, state, self.strategy)?;
+                    witness_eg_fair(self.model, sf, set, &rings, state, self.strategy)?;
                 self.last_stats = Some(stats);
                 Ok(lasso)
             }
@@ -515,9 +520,9 @@ impl<'m> Checker<'m> {
                 CheckError::WitnessConstruction("cannot fair-extend an empty trace".into())
             })?
             .clone();
-        let constraints = self.model.fairness().to_vec();
+        let Memo { set, rings } = self.memo(&Ctl::eg(Ctl::True))?.clone();
         let (lasso, stats) =
-            witness_eg_fair(self.model, Bdd::TRUE, &constraints, &last, self.strategy)?;
+            witness_eg_fair(self.model, Bdd::TRUE, set, &rings, &last, self.strategy)?;
         self.last_stats = Some(stats);
         Ok(splice(trace.states, lasso))
     }

@@ -1,32 +1,16 @@
 //! Fair-CTL machinery (Section 5): the nested fixpoint for `EG` under
-//! fairness constraints, with the ring-saving variant the witness
-//! generator relies on (Section 6).
+//! fairness constraints, which saves the approximation rings the witness
+//! generator walks (Section 6).
 
 use smc_bdd::Bdd;
 use smc_kripke::SymbolicModel;
 
 use crate::error::CheckError;
-use crate::fixpoint::{check_eg, check_eu, check_ex, eu_rings};
+use crate::fixpoint::{check_eg, check_ex, eu_rings};
 use crate::govern::{self, Progress};
 use crate::obs::{self, FixObserver};
 use crate::Phase;
 use smc_obs::{FixKind, SpanKind};
-
-/// `CheckFairEG(f)` under constraints `H`:
-///
-/// ```text
-/// gfp Z [ f ∧ ⋀ₖ EX( E[f U (Z ∧ hₖ)] ) ]
-/// ```
-///
-/// With `H` empty the constraint conjunction is vacuous and this degrades
-/// to plain `EG f` (every path is fair).
-///
-/// # Errors
-///
-/// [`CheckError::ResourceExhausted`] if the manager's budget trips.
-pub fn fair_eg(model: &mut SymbolicModel, f: Bdd, constraints: &[Bdd]) -> Result<Bdd, CheckError> {
-    Ok(fair_eg_with_rings(model, f, constraints)?.0)
-}
 
 /// The ring sequences saved from the **last** outer iteration of
 /// [`fair_eg`], one per fairness constraint.
@@ -38,22 +22,32 @@ pub fn fair_eg(model: &mut SymbolicModel, f: Bdd, constraints: &[Bdd]) -> Result
 /// them ring by ring.
 pub type FairRings = Vec<Vec<Bdd>>;
 
-/// [`fair_eg`] that also returns the saved approximation sequences.
+/// `CheckFairEG(f)` under constraints `H`:
 ///
-/// The extra pass costs one more round of inner `EU` computations after
-/// the fixpoint converges — exactly the bookkeeping Section 6 prescribes
-/// ("in the last iteration of the outer fixpoint, we save the sequence of
-/// approximations").
-pub fn fair_eg_with_rings(
+/// ```text
+/// gfp Z [ f ∧ ⋀ₖ EX( E[f U (Z ∧ hₖ)] ) ]
+/// ```
+///
+/// Returns the fixpoint together with the rings its inner `EU`s recorded
+/// in the last outer iteration — exactly the bookkeeping Section 6
+/// prescribes ("in the last iteration of the outer fixpoint, we save the
+/// sequence of approximations"). An empty fixpoint has the single ring
+/// `[∅]` per constraint.
+///
+/// With `H` empty the constraint conjunction is vacuous and this degrades
+/// to plain `EG f` (every path is fair), with no rings.
+///
+/// # Errors
+///
+/// [`CheckError::ResourceExhausted`] if the manager's budget trips.
+pub fn fair_eg(
     model: &mut SymbolicModel,
     f: Bdd,
     constraints: &[Bdd],
 ) -> Result<(Bdd, FairRings), CheckError> {
-    // Empty H behaves like the single vacuous constraint `true`; the
-    // caller-visible ring list stays aligned with `constraints`, so the
-    // normalization lives in the witness layer, not here. Without
-    // constraints the nested fixpoint degenerates to plain EG, which the
-    // candidate-based `check_eg` computes with the same iterates.
+    // Without constraints the nested fixpoint degenerates to plain EG,
+    // which the candidate-based `check_eg` computes with the same
+    // iterates.
     if constraints.is_empty() {
         return Ok((check_eg(model, f)?, Vec::new()));
     }
@@ -65,37 +59,42 @@ pub fn fair_eg_with_rings(
     shield.extend_from_slice(constraints);
     govern::protect_all(model, &shield);
     let span = obs::span_start(model, SpanKind::FairEg, None);
-    let result = fair_eg_with_rings_inner(model, f, constraints);
+    let result = fair_eg_inner(model, f, constraints);
     obs::span_end(model, span);
     govern::unprotect_all(model, &shield);
     result
 }
 
-fn fair_eg_with_rings_inner(
+fn fair_eg_inner(
     model: &mut SymbolicModel,
     f: Bdd,
     constraints: &[Bdd],
 ) -> Result<(Bdd, FairRings), CheckError> {
     // `seeds[k]` is the previous outer iteration's inner EU result for
     // constraint k. Targets `Z ∧ hₖ` shrink monotonically with Z, so
-    // E[f U t] = E[(f ∧ seed) U t]: every state on a witnessing prefix for
-    // the smaller target already sat in the previous (larger) EU set.
-    // Restricting f this way lets the inner fixpoints run over the
-    // already-narrowed state space.
+    // E[f U t] = E[(f ∧ seed) U t], ring by ring: every state on a
+    // witnessing prefix for the smaller target already sat in the
+    // previous (larger) EU set. Restricting f this way lets the inner
+    // fixpoints run over the already-narrowed state space, and the rings
+    // of the last iteration are the textbook ones.
     let mut seeds: Vec<Bdd> = vec![f; constraints.len()];
     let mut watch = FixObserver::new(model, FixKind::FairEgOuter);
     let mut z = f;
     let mut outer = 0u64;
-    loop {
+    let rings = loop {
         let mut guard = vec![z];
         guard.extend_from_slice(&seeds);
         govern::protect_all(model, &guard);
-        let step = fair_eg_step(model, f, constraints, z, &mut seeds);
+        let step = fair_eg_step(model, f, constraints, z, &seeds);
         govern::unprotect_all(model, &guard);
-        let next = step?;
+        let (next, rings) = step?;
+        for (seed, seq) in seeds.iter_mut().zip(&rings) {
+            *seed = seq[seq.len() - 1];
+        }
         outer += 1;
         let mut roots = vec![z, next];
         roots.extend_from_slice(&seeds);
+        roots.extend(rings.iter().flatten());
         govern::checkpoint(
             model,
             Phase::FairEg,
@@ -106,80 +105,56 @@ fn fair_eg_with_rings_inner(
         // set for both sizes.
         watch.iter(model, outer, next, next);
         if next == z {
-            break;
+            break rings;
         }
         z = next;
+    };
+    // Only an empty fixpoint can end on a step cut short by an empty
+    // conjunction; its rings are all `[∅]`.
+    if z.is_false() {
+        return Ok((z, vec![vec![Bdd::FALSE]; constraints.len()]));
     }
-    // One more inner round at the fixpoint to harvest the rings — with
-    // the *unrestricted* f, so the recorded ring sequences are exactly
-    // the ones the textbook iteration would produce.
-    let span = obs::span_start(model, SpanKind::FairRings, None);
-    let mut rings: FairRings = Vec::with_capacity(constraints.len());
-    model.manager_mut().protect(z);
-    let mut harvested: Vec<Bdd> = vec![z];
-    let harvest: Result<(), CheckError> = (|| {
-        for &h in constraints {
-            let target = model.manager_mut().and(z, h);
-            let seq = eu_rings(model, f, target)?;
-            // Already-harvested sequences must survive the next inner
-            // round's checkpoints.
-            govern::protect_all(model, &seq);
-            harvested.extend(seq.iter().copied());
-            rings.push(seq);
-        }
-        Ok(())
-    })();
-    govern::unprotect_all(model, &harvested);
-    obs::span_end(model, span);
-    harvest?;
     Ok((z, rings))
 }
 
 /// One outer iteration: `f ∧ ⋀ₖ EX(E[f U (Z ∧ hₖ)])`, with each inner EU
-/// restricted by (and refreshing) its seed from the previous iteration.
+/// restricted by its seed from the previous iteration. Also returns the
+/// rings each inner EU recorded, in constraint order; the step stops
+/// early once the conjunction is empty.
 fn fair_eg_step(
     model: &mut SymbolicModel,
     f: Bdd,
     constraints: &[Bdd],
     z: Bdd,
-    seeds: &mut [Bdd],
-) -> Result<Bdd, CheckError> {
+    seeds: &[Bdd],
+) -> Result<(Bdd, FairRings), CheckError> {
     let mut acc = f;
+    let mut rings = FairRings::with_capacity(constraints.len());
     let mut shield: Vec<Bdd> = Vec::new();
     let mut step = |model: &mut SymbolicModel, shield: &mut Vec<Bdd>| {
-        for (k, &h) in constraints.iter().enumerate() {
+        for (&h, &seed) in constraints.iter().zip(seeds) {
             if acc.is_false() {
                 break;
             }
             let target = model.manager_mut().and(z, h);
-            let f_seeded = model.manager_mut().and(f, seeds[k]);
-            // Keep this round's working set safe across the inner EU's
-            // checkpoints (which may run the degradation ladder's GC).
+            let f_seeded = model.manager_mut().and(f, seed);
+            // Keep this round's working set, rings included, safe across
+            // the later inner EUs' checkpoints (which may run the
+            // degradation ladder's GC).
             govern::protect_all(model, &[acc, target, f_seeded]);
             shield.extend([acc, target, f_seeded]);
-            let eu = check_eu(model, f_seeded, target)?;
-            seeds[k] = eu;
-            model.manager_mut().protect(eu);
-            shield.push(eu);
-            let ex = check_ex(model, eu);
+            let seq = eu_rings(model, f_seeded, target)?;
+            govern::protect_all(model, &seq);
+            shield.extend_from_slice(&seq);
+            let ex = check_ex(model, seq[seq.len() - 1]);
+            rings.push(seq);
             acc = model.manager_mut().and(acc, ex);
         }
         Ok(acc)
     };
-    let result = step(model, &mut shield);
+    let result: Result<Bdd, CheckError> = step(model, &mut shield);
     govern::unprotect_all(model, &shield);
-    result
-}
-
-/// The `fair` state set of Section 5: `CheckFair(EG true)` — states at
-/// the start of some fair computation path.
-///
-/// # Errors
-///
-/// [`CheckError::ResourceExhausted`] if the manager's budget trips.
-pub fn fair_states(model: &mut SymbolicModel) -> Result<Bdd, CheckError> {
-    let constraints = model.fairness().to_vec();
-    fair_eg(model, Bdd::TRUE, &constraints)
+    Ok((result?, rings))
 }
 
 #[cfg(test)]
@@ -202,8 +177,9 @@ mod tests {
         let mut m = free_bit();
         let x = m.ap("x").unwrap();
         let plain = crate::fixpoint::check_eg(&mut m, x).unwrap();
-        let fair = fair_eg(&mut m, x, &[]).unwrap();
+        let (fair, rings) = fair_eg(&mut m, x, &[]).unwrap();
         assert_eq!(plain, fair);
+        assert!(rings.is_empty());
         // x can be held at 1 forever, so EG x = {x}.
         assert_eq!(m.state_count(fair), 1.0);
     }
@@ -215,22 +191,24 @@ mod tests {
         let mut m = free_bit();
         let x = m.ap("x").unwrap();
         let nx = m.manager_mut().not(x);
-        let fair = fair_eg(&mut m, x, &[nx]).unwrap();
+        let (fair, rings) = fair_eg(&mut m, x, &[nx, x]).unwrap();
         assert!(fair.is_false());
+        assert_eq!(rings, vec![vec![Bdd::FALSE]; 2]);
         // Under the constraint "x infinitely often" EG x survives.
-        let fair2 = fair_eg(&mut m, x, &[x]).unwrap();
+        let (fair2, _) = fair_eg(&mut m, x, &[x]).unwrap();
         assert_eq!(m.state_count(fair2), 1.0);
     }
 
     #[test]
-    fn fair_states_with_unsatisfiable_constraint_is_empty() {
+    fn fair_eg_with_unsatisfiable_constraint_is_empty() {
         let mut b = SymbolicModelBuilder::new();
         let x = b.bool_var("x").unwrap();
         b.init_zero();
         b.next_fn(x, |m, cur| m.not(cur[0]));
         b.fairness_fn(|m, _| m.constant(false));
         let mut m = b.build().unwrap();
-        assert!(fair_states(&mut m).unwrap().is_false());
+        let constraints = m.fairness().to_vec();
+        assert!(fair_eg(&mut m, Bdd::TRUE, &constraints).unwrap().0.is_false());
     }
 
     #[test]
@@ -240,7 +218,7 @@ mod tests {
         let nx = m.manager_mut().not(x);
         // EG true under constraints {x infinitely often, ¬x infinitely
         // often}: both states qualify (toggle forever).
-        let (egf, rings) = fair_eg_with_rings(&mut m, Bdd::TRUE, &[x, nx]).unwrap();
+        let (egf, rings) = fair_eg(&mut m, Bdd::TRUE, &[x, nx]).unwrap();
         assert_eq!(m.state_count(egf), 2.0);
         assert_eq!(rings.len(), 2);
         for ring in &rings {

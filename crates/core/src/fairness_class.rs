@@ -19,7 +19,7 @@ use smc_kripke::{State, SymbolicModel};
 
 use crate::error::CheckError;
 use crate::fair::fair_eg;
-use crate::fixpoint::{check_eu, check_ex};
+use crate::fixpoint::{check_eu, check_ex, eu_rings};
 use crate::govern::{self, Progress};
 use crate::witness::{splice, witness_eg_fair, witness_eu, CycleStrategy, Trace, WitnessStats};
 use crate::Phase;
@@ -204,24 +204,25 @@ pub fn witness_efairness(
             ps.push(p);
         }
     }
-    let egf = fair_eg(model, qs, &ps)?;
+    let (egf, rings) = fair_eg(model, qs, &ps)?;
     if egf.is_false() {
         return Err(CheckError::WitnessConstruction(
             "case split selected an unsatisfiable branch".into(),
         ));
     }
-    // qs/ps/egf must survive the checkpoints inside the two witness
-    // constructions below.
+    // qs, egf and its rings must survive the checkpoints inside the
+    // prefix EU and the lasso construction below.
     let mut shield = vec![qs, egf];
-    shield.extend_from_slice(&ps);
+    shield.extend(rings.iter().flatten());
     govern::protect_all(model, &shield);
     let tail: Result<(Trace, WitnessStats), CheckError> = (|| {
-        let prefix = witness_eu(model, Bdd::TRUE, egf, start)?;
+        let reach = eu_rings(model, Bdd::TRUE, egf)?;
+        let prefix = witness_eu(model, &reach, start)?;
         let entry = prefix
             .last()
             .ok_or_else(|| CheckError::WitnessConstruction("empty EU witness prefix".into()))?
             .clone();
-        let (lasso, stats) = witness_eg_fair(model, qs, &ps, &entry, strategy)?;
+        let (lasso, stats) = witness_eg_fair(model, qs, egf, &rings, &entry, strategy)?;
         Ok((splice(prefix, lasso), stats))
     })();
     govern::unprotect_all(model, &shield);

@@ -1,6 +1,7 @@
-//! The basic CTL fixpoint operators of Section 4: `CheckEX`, `CheckEU`,
-//! `CheckEG`, plus the ring-recording variant of `CheckEU` that the
-//! witness generator replays backwards.
+//! The basic CTL fixpoint operators of Section 4: `CheckEX`, `CheckEU`
+//! and `CheckEG`. There is one `EU` loop, and it records its rings: the
+//! witness generator replays them backwards, and callers that need only
+//! the fixpoint take the last one.
 //!
 //! Every fixpoint loop is a governed, fallible computation: each
 //! iteration ends at a [`BddManager::checkpoint`](smc_bdd::BddManager)
@@ -28,75 +29,44 @@ pub fn check_ex(model: &mut SymbolicModel, f: Bdd) -> Bdd {
     model.preimage(f)
 }
 
-/// `CheckEU(f, g)`: least fixpoint of `λZ. g ∨ (f ∧ EX Z)`.
-///
-/// Iterates on the *frontier*: each round takes the preimage of only the
-/// states added in the previous round. Any `f`-state with a successor in
-/// an older ring was itself added in an older round, so the accumulated
-/// sets are identical to the textbook full-preimage iteration — at the
-/// cost of a preimage of the (small) delta instead of the whole set.
+/// `CheckEU(f, g)`: least fixpoint of `λZ. g ∨ (f ∧ EX Z)` — the last
+/// ring of [`eu_rings`].
 ///
 /// # Errors
 ///
 /// [`CheckError::ResourceExhausted`] if the manager's budget trips.
 pub fn check_eu(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, CheckError> {
-    let span = obs::span_start(model, SpanKind::CheckEu, None);
-    let result = check_eu_inner(model, f, g);
-    obs::span_end(model, span);
-    result
-}
-
-fn check_eu_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, CheckError> {
-    let mut watch = FixObserver::new(model, FixKind::Eu);
-    let mut z = g;
-    let mut frontier = g;
-    let mut iters = 0u64;
-    while !frontier.is_false() {
-        let ex = check_ex(model, frontier);
-        let step = model.manager_mut().and(f, ex);
-        let add = model.manager_mut().diff(step, z);
-        iters += 1;
-        let progress = Progress { iterations: iters, rings: 0, approx: Some(z) };
-        if add.is_false() {
-            govern::checkpoint(model, Phase::EuFixpoint, progress, &[f, g, z])?;
-            break;
-        }
-        let next = model.manager_mut().or(z, add);
-        govern::checkpoint(model, Phase::EuFixpoint, progress, &[f, g, next, add])?;
-        z = next;
-        frontier = add;
-        watch.iter(model, iters, frontier, z);
-    }
-    // Covers the zero-iteration case (g = ∅), where no checkpoint ran and
-    // a pending trip must not escape as a bogus Ok.
-    govern::poll(model, Phase::EuFixpoint, Progress::iters(iters))?;
-    Ok(z)
+    let rings = eu_rings(model, f, g)?;
+    Ok(rings[rings.len() - 1])
 }
 
 /// `CheckEU` with the full increasing approximation sequence
 /// `Q₀ ⊆ Q₁ ⊆ …` (the "onion rings"): `Qᵢ` is the set of states that can
 /// reach `g` in `i` or fewer steps while passing only through `f`-states.
+/// The last element is the `E[f U g]` fixpoint; the list is never empty.
 ///
 /// Section 6 of the paper saves exactly these sequences (from the last
 /// outer fair-`EG` iteration) so witness construction can walk a shortest
-/// ring-decreasing path to each fairness constraint. The last element is
-/// the `E[f U g]` fixpoint.
+/// ring-decreasing path to each fairness constraint.
+///
+/// Iterates on the *frontier*: each round takes the preimage of only the
+/// states added in the previous round. Any `f`-state with a successor in
+/// an older ring was itself added in an older round, so every ring is
+/// bit-identical to the textbook full-preimage iteration — at the cost of
+/// a preimage of the (small) delta instead of the whole set.
 ///
 /// # Errors
 ///
 /// [`CheckError::ResourceExhausted`] if the manager's budget trips; the
 /// partial report carries the number of rings recorded so far.
 pub fn eu_rings(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
-    let span = obs::span_start(model, SpanKind::CheckEu, Some("rings"));
+    let span = obs::span_start(model, SpanKind::CheckEu, None);
     let result = eu_rings_inner(model, f, g);
     obs::span_end(model, span);
     result
 }
 
 fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
-    // Frontier iteration; the recorded rings are bit-identical to the
-    // full-preimage version (see `check_eu` for why), which the witness
-    // generator's ring-descent depends on.
     let mut watch = FixObserver::new(model, FixKind::Eu);
     let mut rings = vec![g];
     let mut z = g;
@@ -111,10 +81,13 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
         let done = add.is_false();
         let next = if done { z } else { model.manager_mut().or(z, add) };
         // Every recorded ring must survive a ladder GC, so the whole
-        // prefix rides along as checkpoint roots.
-        let mut roots = rings.clone();
-        roots.extend([f, g, next, add]);
-        govern::checkpoint(model, Phase::EuFixpoint, progress, &roots)?;
+        // prefix rides along as checkpoint roots (appended to the ring
+        // list for the call only).
+        let recorded = rings.len();
+        rings.extend([f, g, next, add]);
+        let safe = govern::checkpoint(model, Phase::EuFixpoint, progress, &rings);
+        rings.truncate(recorded);
+        safe?;
         if done {
             break;
         }
@@ -123,7 +96,8 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
         frontier = add;
         watch.iter(model, iters, frontier, z);
     }
-    // Zero-iteration case: no checkpoint ran, deliver any pending trip.
+    // Zero-iteration case (g = ∅): no checkpoint ran, and a pending trip
+    // must not escape as a bogus Ok.
     govern::poll(
         model,
         Phase::EuFixpoint,

@@ -5,8 +5,9 @@
 //! lasso (finite prefix + repeating cycle) such that every state satisfies
 //! `f` and every constraint in `H` is visited on the cycle:
 //!
-//! 1. Evaluate the fair-`EG` fixpoint, saving the inner `EU`
-//!    approximation sequences `Q_i^h` of the **last** outer iteration.
+//! 1. The check evaluated the fair-`EG` fixpoint and saved the inner
+//!    `EU` approximation sequences `Q_i^h` of its **last** outer
+//!    iteration; the witness only walks them.
 //! 2. From the current state, probe the saved rings for increasing `i` to
 //!    find the *nearest* pending fairness constraint, hop to a successor
 //!    in that ring, and descend ring by ring until the constraint is hit.
@@ -25,8 +26,7 @@ use smc_bdd::Bdd;
 use smc_kripke::{State, SymbolicModel};
 
 use crate::error::CheckError;
-use crate::fair::fair_eg_with_rings;
-use crate::fixpoint::eu_rings;
+use crate::fixpoint::{check_eu, eu_rings};
 use crate::govern::{self, Progress};
 use crate::obs;
 use crate::witness::strategy::CycleStrategy;
@@ -53,9 +53,10 @@ const MAX_RESTARTS: usize = 1_000_000;
 
 /// Constructs a fair `EG f` witness lasso starting at `start`.
 ///
-/// `f` is the (already evaluated) state set of the invariant body and
-/// `constraints` the fairness constraints; with an empty slice the
-/// witness is a plain `EG` lasso.
+/// `f` is the (already evaluated) state set of the invariant body, and
+/// `egf` and `rings` are what [`fair_eg`](crate::fair::fair_eg) returned
+/// for it. With no rings (no fairness constraints) the witness is a plain
+/// `EG` lasso.
 ///
 /// # Errors
 ///
@@ -66,18 +67,24 @@ const MAX_RESTARTS: usize = 1_000_000;
 pub fn witness_eg_fair(
     model: &mut SymbolicModel,
     f: Bdd,
-    constraints: &[Bdd],
+    egf: Bdd,
+    rings: &[Vec<Bdd>],
     start: &State,
     strategy: CycleStrategy,
 ) -> Result<(Trace, WitnessStats), CheckError> {
-    // An empty H behaves like the single vacuous constraint `true`: the
-    // witness still needs a cycle, just not any particular visit.
-    let constraints: Vec<Bdd> =
-        if constraints.is_empty() { vec![Bdd::TRUE] } else { constraints.to_vec() };
-    let (egf, rings) = fair_eg_with_rings(model, f, &constraints)?;
     if !model.eval_state(egf, start) {
         return Err(CheckError::NothingToExplain);
     }
+    // A plain EG behaves like the single vacuous constraint `true`: the
+    // witness still needs a cycle, just not any particular visit, and
+    // the rings of that constraint lead back into `EG f` itself.
+    let plain;
+    let rings = if rings.is_empty() {
+        plain = [eu_rings(model, f, egf)?];
+        &plain[..]
+    } else {
+        rings
+    };
 
     // The saved rings (and egf, and f) are probed across the whole
     // restart loop, which runs governed EU fixpoints (stay sets, closing
@@ -86,7 +93,7 @@ pub fn witness_eg_fair(
     let mut shield = vec![f, egf];
     shield.extend(rings.iter().flatten().copied());
     govern::protect_all(model, &shield);
-    let result = witness_eg_fair_inner(model, f, egf, &constraints, &rings, start, strategy);
+    let result = witness_eg_fair_inner(model, f, egf, rings, start, strategy);
     govern::unprotect_all(model, &shield);
     result
 }
@@ -95,7 +102,6 @@ fn witness_eg_fair_inner(
     model: &mut SymbolicModel,
     f: Bdd,
     egf: Bdd,
-    constraints: &[Bdd],
     rings: &[Vec<Bdd>],
     start: &State,
     strategy: CycleStrategy,
@@ -106,7 +112,7 @@ fn witness_eg_fair_inner(
 
     loop {
         let stay_exits_before = stats.stay_exits;
-        match attempt_cycle(model, f, egf, constraints, rings, &s, strategy, &mut stats)? {
+        match attempt_cycle(model, f, egf, rings, &s, strategy, &mut stats)? {
             AttemptOutcome::Closed { states, anchor_index } => {
                 let loopback = prefix.len() + anchor_index;
                 prefix.extend(states);
@@ -131,7 +137,7 @@ fn witness_eg_fair_inner(
                          fair_eg rings are inconsistent ({} constraints, ring depths {:?})",
                         stats.restarts,
                         stats.stay_exits,
-                        constraints.len(),
+                        rings.len(),
                         depths,
                     )));
                 }
@@ -155,12 +161,10 @@ enum AttemptOutcome {
 }
 
 /// One cycle attempt from `s`: visit every constraint, then try to close.
-#[allow(clippy::too_many_arguments)]
 fn attempt_cycle(
     model: &mut SymbolicModel,
     f: Bdd,
     egf: Bdd,
-    constraints: &[Bdd],
     rings: &[Vec<Bdd>],
     s: &State,
     strategy: CycleStrategy,
@@ -170,8 +174,7 @@ fn attempt_cycle(
     // governed EU fixpoint — it rides in a shield for the rest of the
     // attempt, released here on every exit path.
     let mut shield: Vec<Bdd> = Vec::new();
-    let result =
-        attempt_cycle_inner(model, f, egf, constraints, rings, s, strategy, stats, &mut shield);
+    let result = attempt_cycle_inner(model, f, egf, rings, s, strategy, stats, &mut shield);
     govern::unprotect_all(model, &shield);
     result
 }
@@ -181,7 +184,6 @@ fn attempt_cycle_inner(
     model: &mut SymbolicModel,
     f: Bdd,
     egf: Bdd,
-    constraints: &[Bdd],
     rings: &[Vec<Bdd>],
     s: &State,
     strategy: CycleStrategy,
@@ -198,7 +200,7 @@ fn attempt_cycle_inner(
     let mut current = s.clone();
     let mut anchor: Option<(usize, State)> = None;
     let mut stay: Option<Bdd> = None;
-    let mut pending: Vec<usize> = (0..constraints.len()).collect();
+    let mut pending: Vec<usize> = (0..rings.len()).collect();
 
     loop {
         // Once the walk is on the cycle (anchor chosen), constraints the
@@ -218,7 +220,7 @@ fn attempt_cycle_inner(
                 // E[(EG f) U {t}]: the states from which the cycle can
                 // still be closed.
                 let t_bdd = model.state_bdd(&t);
-                let set = crate::fixpoint::check_eu(model, egf, t_bdd)?;
+                let set = check_eu(model, egf, t_bdd)?;
                 model.manager_mut().protect(set);
                 shield.push(set);
                 stay = Some(set);

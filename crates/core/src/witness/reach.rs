@@ -10,25 +10,23 @@ use smc_bdd::Bdd;
 use smc_kripke::{State, SymbolicModel};
 
 use crate::error::CheckError;
-use crate::fixpoint::eu_rings;
 use crate::govern::{self, Progress};
 use crate::Phase;
 
 /// Constructs a shortest `E[f U g]` witness: a path from `start` through
-/// `f`-states to a `g`-state, walking the `EU` approximation rings
-/// backwards. Returns the path including both endpoints (a single state
-/// if `start` already satisfies `g`).
+/// `f`-states to a `g`-state, walking backwards the approximation rings
+/// the `EU` fixpoint saved ([`eu_rings`](crate::fixpoint::eu_rings)).
+/// Returns the path including both endpoints (a single state if `start`
+/// already satisfies `g`).
 ///
 /// # Errors
 ///
 /// [`CheckError::NothingToExplain`] if `start ⊭ E[f U g]`.
 pub fn witness_eu(
     model: &mut SymbolicModel,
-    f: Bdd,
-    g: Bdd,
+    rings: &[Bdd],
     start: &State,
 ) -> Result<Vec<State>, CheckError> {
-    let rings = eu_rings(model, f, g)?;
     let mut j = match (0..rings.len()).find(|&i| model.eval_state(rings[i], start)) {
         Some(j) => j,
         None => return Err(CheckError::NothingToExplain),

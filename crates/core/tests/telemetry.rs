@@ -13,7 +13,7 @@ use smc_checker::fixpoint::eu_rings;
 use smc_checker::{Checker, Trace};
 use smc_kripke::{SymbolicModel, SymbolicModelBuilder};
 use smc_logic::ctl;
-use smc_obs::{Event, EventCtx, Sink, Telemetry};
+use smc_obs::{Event, EventCtx, Sink, SpanKind, Telemetry};
 
 /// x toggles every step.
 fn toggle() -> SymbolicModel {
@@ -141,6 +141,31 @@ fn counterexample_is_bit_identical_with_telemetry() {
         let mut c = Checker::new(m);
         c.counterexample(&spec).expect("counterexample")
     });
+}
+
+#[test]
+fn each_fair_eg_fixpoint_runs_once_per_formula_node() {
+    // (spec, distinct EG nodes the check and its trace need). `EG true`
+    // is the fair set: EX and EU targets are restricted to it, and a
+    // finite witness is extended by its lasso.
+    for (spec, eg_nodes) in [("EG true", 1), ("EX (EG x)", 2), ("E [!x U x]", 1)] {
+        let mut m = free_bit(true);
+        let events = attach_recorder(&mut m);
+        let outcome = Checker::new(&mut m)
+            .check_with_trace(&ctl::parse(spec).expect("parse"))
+            .expect("checked");
+        assert!(outcome.verdict.holds(), "{spec}");
+        assert!(outcome.trace.expect("witness").is_lasso(), "{spec}");
+        let events = events.lock().expect("recorder lock");
+        let spans = |kind: SpanKind| {
+            events
+                .iter()
+                .filter(|e| matches!(e, Event::SpanStart { kind: k, .. } if *k == kind))
+                .count()
+        };
+        assert_eq!(spans(SpanKind::FairEg), eg_nodes, "{spec}: one fair_eg span per EG node");
+        assert_eq!(spans(SpanKind::FairRings), 0, "{spec}: no separate ring harvest");
+    }
 }
 
 /// Uninterrupted plain-run reference used by the property below.

@@ -98,7 +98,7 @@ pub fn run_batch(jobs: Vec<Job>, cfg: &EngineConfig) -> Vec<JobResult> {
             let queues = &queues;
             let results = &results;
             let cache = cache.as_ref();
-            scope.spawn(move || worker_loop(w, queues, results, cfg, cache));
+            spawn_worker(scope, move || worker_loop(w, queues, results, cfg, cache));
         }
     });
 
@@ -107,6 +107,24 @@ pub fn run_batch(jobs: Vec<Job>, cfg: &EngineConfig) -> Vec<JobResult> {
     // worker (run_job returns a result for every outcome) or was never
     // taken — impossible once every worker has observed empty queues.
     collected.into_iter().flatten().collect()
+}
+
+/// Stack of every batch and serve worker thread: what a Linux main
+/// thread gets, so a job whose syntax tree sits at the depth limit
+/// ([`smc_logic::MAX_SYNTAX_DEPTH`]) runs on a worker as it does under
+/// `smc check`. In an unoptimised build, checking a 512-term `&` chain
+/// with a trace needs more than 4 MiB, twice the 2 MiB default.
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
+/// Spawns a scoped worker thread with [`WORKER_STACK_BYTES`] of stack.
+pub(crate) fn spawn_worker<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    body: impl FnOnce() + Send + 'scope,
+) {
+    std::thread::Builder::new()
+        .stack_size(WORKER_STACK_BYTES)
+        .spawn_scoped(scope, body)
+        .expect("the OS refused to start a worker thread");
 }
 
 fn worker_loop(

@@ -52,6 +52,7 @@ use smc_obs::{DumpMeta, Json, Metrics, Recorder, DEFAULT_RECORDER_CAP, STATUS_SC
 
 use crate::cache::{source_key, ArtifactCache};
 use crate::job::{derive_trace_id, run_job_with, EngineConfig, Job, JobOutcome, TraceCtx};
+use crate::pool::spawn_worker;
 use crate::wire::{job_json_fields, json_escape};
 
 /// Schema version stamped into every serve response line.
@@ -1067,7 +1068,7 @@ pub fn serve(mut input: impl BufRead, output: Responder, cfg: &ServerConfig) -> 
     std::thread::scope(|scope| {
         for slot in 0..core.slots.len() {
             let core = &core;
-            scope.spawn(move || worker_loop(core, slot));
+            spawn_worker(scope, move || worker_loop(core, slot));
         }
         {
             let core = &core;
@@ -1110,7 +1111,7 @@ pub fn serve_tcp(listener: TcpListener, cfg: &ServerConfig) -> std::io::Result<u
     std::thread::scope(|scope| {
         for slot in 0..core.slots.len() {
             let core = &core;
-            scope.spawn(move || worker_loop(core, slot));
+            spawn_worker(scope, move || worker_loop(core, slot));
         }
         {
             let core = &core;

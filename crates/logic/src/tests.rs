@@ -57,6 +57,41 @@ fn parse_the_paper_liveness_spec() {
 }
 
 #[test]
+fn syntax_depth_is_bounded_at_the_crossing_token() {
+    // Parsing at the limit recurses about ten frames per level, which an
+    // unoptimised build cannot fit in a test thread's 2 MiB. Run on the
+    // 8 MiB stack `smc` gives its main and worker threads.
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(depth_checks)
+        .expect("spawn the depth checks")
+        .join()
+        .expect("depth checks pass");
+}
+
+fn depth_checks() {
+    use crate::MAX_SYNTAX_DEPTH as MAX;
+    // A left-deep chain of n atoms is n levels high.
+    let chain = |n: usize| vec!["p"; n].join(" & ");
+    assert!(ctl::parse(&chain(MAX)).is_ok());
+    let err = ctl::parse(&chain(MAX + 1)).unwrap_err();
+    assert_eq!(err.position, chain(MAX).len() + 1, "at the '&' past the limit");
+    assert!(err.message.contains("nested deeper than 512"), "{err}");
+    // Prefix operators and parentheses fail before recursing further.
+    assert!(ctl::parse(&format!("{}p", "!".repeat(MAX - 1))).is_ok());
+    assert!(ctl::parse(&format!("{}p", "!".repeat(50_000))).is_err());
+    let parens = |n: usize| format!("{}p{}", "(".repeat(n), ")".repeat(n));
+    assert!(ctl::parse(&parens(MAX)).is_ok());
+    assert_eq!(ctl::parse(&parens(MAX + 1)).unwrap_err().position, MAX);
+    assert!(ctl::parse(&chain(200_000)).is_err());
+    // The same bound holds for CTL*.
+    assert!(ctlstar::parse(&format!("E ({})", chain(MAX - 3))).is_ok());
+    assert!(ctlstar::parse(&format!("E ({})", chain(MAX - 1))).is_err());
+    assert!(ctlstar::parse(&format!("E {}p", "F ".repeat(50_000))).is_err());
+    assert!(ctlstar::parse(&format!("{}E p", "!".repeat(50_000))).is_err());
+}
+
+#[test]
 fn parse_errors_carry_positions() {
     let err = ctl::parse("p & ").unwrap_err();
     assert_eq!(err.position, 4);

@@ -47,13 +47,15 @@ pub enum SpanKind {
     Reach,
     /// One `Check` evaluation of a specification (ENF dispatch).
     Check,
-    /// A `CheckEU` least fixpoint (including the ring-recording variant).
+    /// A `CheckEU` least fixpoint (it records its rings).
     CheckEu,
     /// A `CheckEG` greatest fixpoint (no fairness).
     CheckEg,
     /// The fair-`EG` nested fixpoint (outer loop).
     FairEg,
-    /// The post-fixpoint harvest pass that records the onion rings.
+    /// A post-fixpoint pass that re-recorded the fair-`EG` onion rings.
+    /// No longer emitted (the fixpoint saves its own rings); kept so
+    /// traces written by older builds still parse.
     FairRings,
     /// Witness / counterexample construction (Section 6).
     Witness,

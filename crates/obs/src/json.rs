@@ -7,6 +7,11 @@
 //! a validating general-purpose parser and rejects what it does not
 //! understand by returning `None`.
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one hostile
+/// line (`[[[[…`) overflow the reading thread's stack.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -26,8 +31,10 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (surrounding whitespace allowed).
+    /// `None` for malformed input and for arrays/objects nested deeper
+    /// than [`MAX_JSON_DEPTH`].
     pub fn parse(text: &str) -> Option<Json> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -102,6 +109,8 @@ pub(crate) fn esc(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -135,14 +144,26 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Option<Json> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(Json::Str),
             b't' => self.lit("true", Json::Bool(true)),
             b'f' => self.lit("false", Json::Bool(false)),
             b'n' => self.lit("null", Json::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+        if self.depth == MAX_JSON_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Option<Json> {
@@ -277,5 +298,16 @@ mod tests {
         assert_eq!(Json::parse("{]"), None);
         assert_eq!(Json::parse("{\"a\":1} trailing"), None);
         assert_eq!(Json::parse(""), None);
+    }
+
+    #[test]
+    fn bounds_the_nesting_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_JSON_DEPTH)).is_some());
+        assert_eq!(Json::parse(&nest(MAX_JSON_DEPTH + 1)), None);
+        let objects = "{\"a\":".repeat(MAX_JSON_DEPTH + 1) + "1" + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert_eq!(Json::parse(&objects), None);
+        // Far past the limit: refused, not a stack overflow.
+        assert_eq!(Json::parse(&"[".repeat(300_000)), None);
     }
 }

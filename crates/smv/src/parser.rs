@@ -1,4 +1,12 @@
 //! Recursive-descent parser for the SMV subset.
+//!
+//! Expression and SPEC parse functions return the height of the tree
+//! they built, so an expression deeper than
+//! [`MAX_SYNTAX_DEPTH`] — including a left-deep `&`/`|` chain, which
+//! the parser builds without recursing — is a parse error instead of a
+//! stack overflow in flattening, compilation or checking.
+
+use smc_logic::MAX_SYNTAX_DEPTH;
 
 use crate::ast::{
     Assign, AssignKind, CaseBranch, Decl, Expr, Module, Program, Section, Span, Spec, VarType,
@@ -6,13 +14,19 @@ use crate::ast::{
 use crate::error::SmvError;
 use crate::lexer::{tokenize, SpannedTok, Tok};
 
+/// A parsed node and the height of its tree (a leaf has height 1).
+type Parsed<T> = Result<(T, usize), SmvError>;
+
+/// The constructor of a binary node from its two sides.
+type Join<T> = fn(Box<T>, Box<T>) -> T;
+
 /// Parses an SMV source text into its AST (one or more `MODULE`s).
 ///
 /// # Errors
 ///
 /// [`SmvError::Parse`] with the offending byte offset.
 pub fn parse(input: &str) -> Result<Program, SmvError> {
-    let mut p = Parser { toks: tokenize(input)?, pos: 0, len: input.len() };
+    let mut p = Parser { toks: tokenize(input)?, pos: 0, len: input.len(), open: 0 };
     let mut modules = Vec::new();
     while p.peek().is_some() {
         modules.push(p.module()?);
@@ -27,6 +41,9 @@ struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
     len: usize,
+    /// Parentheses and prefix operators currently open: bounds the
+    /// parser's own recursion before any node is built.
+    open: usize,
 }
 
 impl Parser {
@@ -80,6 +97,53 @@ impl Parser {
         } else {
             Err(SmvError::parse(self.here(), format!("expected {what}")))
         }
+    }
+
+    /// The height of a node over children at most `height` deep, or an
+    /// error once it passes [`MAX_SYNTAX_DEPTH`].
+    fn grow(&self, height: usize) -> Result<usize, SmvError> {
+        if height >= MAX_SYNTAX_DEPTH {
+            return self.too_deep();
+        }
+        Ok(height + 1)
+    }
+
+    /// Parses `operand (op operand)*` as a left-deep chain, where `op`
+    /// maps an operator token to the node that joins its two sides.
+    fn chain<T>(
+        &mut self,
+        op: fn(&Tok) -> Option<Join<T>>,
+        operand: fn(&mut Parser) -> Parsed<T>,
+    ) -> Parsed<T> {
+        let (mut lhs, mut h) = operand(self)?;
+        while let Some(join) = self.peek().and_then(op) {
+            self.bump();
+            // Checked before the right operand, so the error points at
+            // the operator that crossed the limit.
+            h = self.grow(h)?;
+            let (rhs, hr) = operand(self)?;
+            h = h.max(self.grow(hr)?);
+            lhs = join(Box::new(lhs), Box::new(rhs));
+        }
+        Ok((lhs, h))
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Parser) -> Parsed<T>) -> Parsed<T> {
+        if self.open >= MAX_SYNTAX_DEPTH {
+            return self.too_deep();
+        }
+        self.open += 1;
+        let parsed = parse(self);
+        self.open -= 1;
+        parsed
+    }
+
+    /// The depth error, at the token just consumed: the operator or
+    /// opening parenthesis that crossed the limit.
+    fn too_deep<T>(&self) -> Result<T, SmvError> {
+        let at = self.pos.checked_sub(1).map_or(0, |last| self.toks[last].pos);
+        Err(SmvError::parse(at, format!("expression nested deeper than {MAX_SYNTAX_DEPTH} levels")))
     }
 
     fn ident(&mut self, what: &str) -> Result<String, SmvError> {
@@ -144,7 +208,7 @@ impl Parser {
                 }
                 Tok::Spec => {
                     self.bump();
-                    let s = self.spec()?;
+                    let (s, _) = self.spec()?;
                     Section::Spec(s, self.span_from(start))
                 }
                 _ => {
@@ -258,53 +322,44 @@ impl Parser {
     // + - , * mod, primary)
     // -----------------------------------------------------------------
 
+    /// A complete expression, the root of its own tree.
     fn expr(&mut self) -> Result<Expr, SmvError> {
-        let mut lhs = self.expr_implies()?;
-        while self.eat(&Tok::Iff) {
-            let rhs = self.expr_implies()?;
-            lhs = Expr::Iff(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        Ok(self.expr_iff()?.0)
     }
 
-    fn expr_implies(&mut self) -> Result<Expr, SmvError> {
-        let lhs = self.expr_or()?;
+    fn expr_iff(&mut self) -> Parsed<Expr> {
+        self.chain(|t| (*t == Tok::Iff).then_some(Expr::Iff), Self::expr_implies)
+    }
+
+    fn expr_implies(&mut self) -> Parsed<Expr> {
+        let (lhs, h) = self.expr_or()?;
         if self.eat(&Tok::Implies) {
-            let rhs = self.expr_implies()?;
-            Ok(Expr::Implies(Box::new(lhs), Box::new(rhs)))
+            let (rhs, hr) = self.nested(Self::expr_implies)?;
+            Ok((Expr::Implies(Box::new(lhs), Box::new(rhs)), self.grow(h.max(hr))?))
         } else {
-            Ok(lhs)
+            Ok((lhs, h))
         }
     }
 
-    fn expr_or(&mut self) -> Result<Expr, SmvError> {
-        let mut lhs = self.expr_and()?;
-        while self.eat(&Tok::Or) {
-            let rhs = self.expr_and()?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn expr_or(&mut self) -> Parsed<Expr> {
+        self.chain(|t| (*t == Tok::Or).then_some(Expr::Or), Self::expr_and)
     }
 
-    fn expr_and(&mut self) -> Result<Expr, SmvError> {
-        let mut lhs = self.expr_not()?;
-        while self.eat(&Tok::And) {
-            let rhs = self.expr_not()?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn expr_and(&mut self) -> Parsed<Expr> {
+        self.chain(|t| (*t == Tok::And).then_some(Expr::And), Self::expr_not)
     }
 
-    fn expr_not(&mut self) -> Result<Expr, SmvError> {
+    fn expr_not(&mut self) -> Parsed<Expr> {
         if self.eat(&Tok::Not) {
-            Ok(Expr::Not(Box::new(self.expr_not()?)))
+            let (e, h) = self.nested(Self::expr_not)?;
+            Ok((Expr::Not(Box::new(e)), self.grow(h)?))
         } else {
             self.expr_cmp()
         }
     }
 
-    fn expr_cmp(&mut self) -> Result<Expr, SmvError> {
-        let lhs = self.expr_add()?;
+    fn expr_cmp(&mut self) -> Parsed<Expr> {
+        let (lhs, h) = self.expr_add()?;
         let op = match self.peek() {
             Some(Tok::Eq) => Expr::Eq as fn(_, _) -> _,
             Some(Tok::Neq) => Expr::Neq,
@@ -312,56 +367,48 @@ impl Parser {
             Some(Tok::Le) => Expr::Le,
             Some(Tok::Gt) => Expr::Gt,
             Some(Tok::Ge) => Expr::Ge,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, h)),
         };
         self.bump();
-        let rhs = self.expr_add()?;
-        Ok(op(Box::new(lhs), Box::new(rhs)))
+        let (rhs, hr) = self.expr_add()?;
+        Ok((op(Box::new(lhs), Box::new(rhs)), self.grow(h.max(hr))?))
     }
 
-    fn expr_add(&mut self) -> Result<Expr, SmvError> {
-        let mut lhs = self.expr_mul()?;
-        loop {
-            if self.eat(&Tok::Plus) {
-                let rhs = self.expr_mul()?;
-                lhs = Expr::Add(Box::new(lhs), Box::new(rhs));
-            } else if self.eat(&Tok::Minus) {
-                let rhs = self.expr_mul()?;
-                lhs = Expr::Sub(Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
-        }
+    fn expr_add(&mut self) -> Parsed<Expr> {
+        self.chain(
+            |t| match t {
+                Tok::Plus => Some(Expr::Add),
+                Tok::Minus => Some(Expr::Sub),
+                _ => None,
+            },
+            Self::expr_mul,
+        )
     }
 
-    fn expr_mul(&mut self) -> Result<Expr, SmvError> {
-        let mut lhs = self.expr_primary()?;
-        loop {
-            if self.eat(&Tok::Star) {
-                let rhs = self.expr_primary()?;
-                lhs = Expr::Mul(Box::new(lhs), Box::new(rhs));
-            } else if self.eat(&Tok::Mod) {
-                let rhs = self.expr_primary()?;
-                lhs = Expr::Mod(Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
-        }
+    fn expr_mul(&mut self) -> Parsed<Expr> {
+        self.chain(
+            |t| match t {
+                Tok::Star => Some(Expr::Mul),
+                Tok::Mod => Some(Expr::Mod),
+                _ => None,
+            },
+            Self::expr_primary,
+        )
     }
 
-    fn expr_primary(&mut self) -> Result<Expr, SmvError> {
-        match self.peek() {
+    fn expr_primary(&mut self) -> Parsed<Expr> {
+        let leaf = match self.peek() {
             Some(Tok::True) => {
                 self.bump();
-                Ok(Expr::Bool(true))
+                Expr::Bool(true)
             }
             Some(Tok::False) => {
                 self.bump();
-                Ok(Expr::Bool(false))
+                Expr::Bool(false)
             }
             Some(Tok::Int(_)) => {
                 if let Some(Tok::Int(v)) = self.bump() {
-                    Ok(Expr::Int(v))
+                    Expr::Int(v)
                 } else {
                     unreachable!("peeked an int")
                 }
@@ -369,51 +416,61 @@ impl Parser {
             Some(Tok::Minus) => {
                 self.bump();
                 match self.bump() {
-                    Some(Tok::Int(v)) => Ok(Expr::Int(-v)),
-                    _ => Err(SmvError::parse(self.here(), "expected an integer after '-'")),
+                    Some(Tok::Int(v)) => Expr::Int(-v),
+                    _ => return Err(SmvError::parse(self.here(), "expected an integer after '-'")),
                 }
             }
-            Some(Tok::Ident(_)) => Ok(Expr::Ident(self.ident("identifier")?)),
+            Some(Tok::Ident(_)) => Expr::Ident(self.ident("identifier")?),
             Some(Tok::NextKw) => {
                 self.bump();
                 self.expect(Tok::LParen, "'('")?;
                 let var = self.ident("variable name")?;
                 self.expect(Tok::RParen, "')'")?;
-                Ok(Expr::Next(var))
+                Expr::Next(var)
             }
             Some(Tok::LParen) => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr_iff)?;
                 self.expect(Tok::RParen, "')'")?;
-                Ok(e)
+                return Ok(e);
             }
             Some(Tok::LBrace) => {
                 self.bump();
-                let mut elements = vec![self.expr()?];
-                while self.eat(&Tok::Comma) {
-                    elements.push(self.expr()?);
-                }
-                self.expect(Tok::RBrace, "'}'")?;
-                Ok(Expr::Set(elements))
+                return self.nested(|p| {
+                    let (first, mut h) = p.expr_iff()?;
+                    let mut elements = vec![first];
+                    while p.eat(&Tok::Comma) {
+                        let (e, he) = p.expr_iff()?;
+                        elements.push(e);
+                        h = h.max(he);
+                    }
+                    p.expect(Tok::RBrace, "'}'")?;
+                    Ok((Expr::Set(elements), p.grow(h)?))
+                });
             }
             Some(Tok::Case) => {
                 self.bump();
-                let mut branches = Vec::new();
-                while !self.eat(&Tok::Esac) {
-                    let start = self.here();
-                    let condition = self.expr()?;
-                    self.expect(Tok::Colon, "':'")?;
-                    let value = self.expr()?;
-                    self.expect(Tok::Semi, "';'")?;
-                    branches.push(CaseBranch { condition, value, span: self.span_from(start) });
-                }
-                if branches.is_empty() {
-                    return Err(SmvError::parse(self.here(), "empty case"));
-                }
-                Ok(Expr::Case(branches))
+                return self.nested(|p| {
+                    let mut branches = Vec::new();
+                    let mut h = 0;
+                    while !p.eat(&Tok::Esac) {
+                        let start = p.here();
+                        let (condition, hc) = p.expr_iff()?;
+                        p.expect(Tok::Colon, "':'")?;
+                        let (value, hv) = p.expr_iff()?;
+                        p.expect(Tok::Semi, "';'")?;
+                        branches.push(CaseBranch { condition, value, span: p.span_from(start) });
+                        h = h.max(hc).max(hv);
+                    }
+                    if branches.is_empty() {
+                        return Err(SmvError::parse(p.here(), "empty case"));
+                    }
+                    Ok((Expr::Case(branches), p.grow(h)?))
+                });
             }
-            _ => Err(SmvError::parse(self.here(), "expected an expression")),
-        }
+            _ => return Err(SmvError::parse(self.here(), "expected an expression")),
+        };
+        Ok((leaf, 1))
     }
 
     // -----------------------------------------------------------------
@@ -422,41 +479,26 @@ impl Parser {
     // name.
     // -----------------------------------------------------------------
 
-    fn spec(&mut self) -> Result<Spec, SmvError> {
-        let mut lhs = self.spec_implies()?;
-        while self.eat(&Tok::Iff) {
-            let rhs = self.spec_implies()?;
-            lhs = Spec::Iff(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn spec(&mut self) -> Parsed<Spec> {
+        self.chain(|t| (*t == Tok::Iff).then_some(Spec::Iff), Self::spec_implies)
     }
 
-    fn spec_implies(&mut self) -> Result<Spec, SmvError> {
-        let lhs = self.spec_or()?;
+    fn spec_implies(&mut self) -> Parsed<Spec> {
+        let (lhs, h) = self.spec_or()?;
         if self.eat(&Tok::Implies) {
-            let rhs = self.spec_implies()?;
-            Ok(Spec::Implies(Box::new(lhs), Box::new(rhs)))
+            let (rhs, hr) = self.nested(Self::spec_implies)?;
+            Ok((Spec::Implies(Box::new(lhs), Box::new(rhs)), self.grow(h.max(hr))?))
         } else {
-            Ok(lhs)
+            Ok((lhs, h))
         }
     }
 
-    fn spec_or(&mut self) -> Result<Spec, SmvError> {
-        let mut lhs = self.spec_and()?;
-        while self.eat(&Tok::Or) {
-            let rhs = self.spec_and()?;
-            lhs = Spec::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn spec_or(&mut self) -> Parsed<Spec> {
+        self.chain(|t| (*t == Tok::Or).then_some(Spec::Or), Self::spec_and)
     }
 
-    fn spec_and(&mut self) -> Result<Spec, SmvError> {
-        let mut lhs = self.spec_unary()?;
-        while self.eat(&Tok::And) {
-            let rhs = self.spec_unary()?;
-            lhs = Spec::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn spec_and(&mut self) -> Parsed<Spec> {
+        self.chain(|t| (*t == Tok::And).then_some(Spec::And), Self::spec_unary)
     }
 
     fn temporal_keyword(&self) -> Option<&'static str> {
@@ -470,55 +512,35 @@ impl Parser {
         None
     }
 
-    fn spec_unary(&mut self) -> Result<Spec, SmvError> {
-        if self.eat(&Tok::Not) {
-            return Ok(Spec::Not(Box::new(self.spec_unary()?)));
-        }
-        match self.temporal_keyword() {
-            Some("EX") => {
-                self.bump();
-                Ok(Spec::Ex(Box::new(self.spec_unary()?)))
+    fn spec_unary(&mut self) -> Parsed<Spec> {
+        let unary: fn(Box<Spec>) -> Spec = if self.peek() == Some(&Tok::Not) {
+            Spec::Not
+        } else {
+            match self.temporal_keyword() {
+                Some("EX") => Spec::Ex,
+                Some("EF") => Spec::Ef,
+                Some("EG") => Spec::Eg,
+                Some("AX") => Spec::Ax,
+                Some("AF") => Spec::Af,
+                Some("AG") => Spec::Ag,
+                Some(q @ ("E" | "A")) if self.peek2() == Some(&Tok::LBracket) => {
+                    self.bump();
+                    self.bump();
+                    let until = if q == "E" { Spec::Eu } else { Spec::Au };
+                    return self.nested(|p| {
+                        let (f, hf) = p.spec()?;
+                        p.spec_until_sep()?;
+                        let (g, hg) = p.spec()?;
+                        p.expect(Tok::RBracket, "']'")?;
+                        Ok((until(Box::new(f), Box::new(g)), p.grow(hf.max(hg))?))
+                    });
+                }
+                _ => return self.spec_leaf(),
             }
-            Some("EF") => {
-                self.bump();
-                Ok(Spec::Ef(Box::new(self.spec_unary()?)))
-            }
-            Some("EG") => {
-                self.bump();
-                Ok(Spec::Eg(Box::new(self.spec_unary()?)))
-            }
-            Some("AX") => {
-                self.bump();
-                Ok(Spec::Ax(Box::new(self.spec_unary()?)))
-            }
-            Some("AF") => {
-                self.bump();
-                Ok(Spec::Af(Box::new(self.spec_unary()?)))
-            }
-            Some("AG") => {
-                self.bump();
-                Ok(Spec::Ag(Box::new(self.spec_unary()?)))
-            }
-            Some("E") if self.peek2() == Some(&Tok::LBracket) => {
-                self.bump();
-                self.bump();
-                let f = self.spec()?;
-                self.spec_until_sep()?;
-                let g = self.spec()?;
-                self.expect(Tok::RBracket, "']'")?;
-                Ok(Spec::Eu(Box::new(f), Box::new(g)))
-            }
-            Some("A") if self.peek2() == Some(&Tok::LBracket) => {
-                self.bump();
-                self.bump();
-                let f = self.spec()?;
-                self.spec_until_sep()?;
-                let g = self.spec()?;
-                self.expect(Tok::RBracket, "']'")?;
-                Ok(Spec::Au(Box::new(f), Box::new(g)))
-            }
-            _ => self.spec_leaf(),
-        }
+        };
+        self.bump();
+        let (s, h) = self.nested(Self::spec_unary)?;
+        Ok((unary(Box::new(s)), self.grow(h)?))
     }
 
     fn spec_until_sep(&mut self) -> Result<(), SmvError> {
@@ -531,12 +553,12 @@ impl Parser {
         Err(SmvError::parse(self.here(), "expected 'U'"))
     }
 
-    fn spec_leaf(&mut self) -> Result<Spec, SmvError> {
+    fn spec_leaf(&mut self) -> Parsed<Spec> {
         if self.peek() == Some(&Tok::LParen) {
             // Could be a parenthesized spec or a parenthesized expression;
             // parse as a spec (expressions embed as leaves anyway).
             self.bump();
-            let s = self.spec()?;
+            let s = self.nested(Self::spec)?;
             self.expect(Tok::RParen, "')'")?;
             return Ok(s);
         }
@@ -544,7 +566,7 @@ impl Parser {
         // `state = busy` binds before the surrounding CTL connectives.
         let start = self.pos;
         match self.expr_cmp() {
-            Ok(e) => Ok(Spec::Expr(e)),
+            Ok((e, h)) => Ok((Spec::Expr(e), self.grow(h)?)),
             Err(e) => {
                 self.pos = start;
                 Err(e)

@@ -71,6 +71,29 @@ head -c 40 "$dump" | ./target/release/smc debug dump - >/dev/null 2>&1 && rc=0 |
 [ "$rc" -eq 2 ] || { echo "dump drill: truncated header should exit 2, got $rc"; exit 1; }
 rm -rf "$dumps"
 
+echo "== hostile-depth drill (a 2,000-deep SPEC is a parse error, not an abort) =="
+deep="$(mktemp --suffix=.smv)"
+{
+    printf 'MODULE main\nVAR x : boolean;\nSPEC '
+    printf '(%.0s' $(seq 2000); printf 'x'; printf ')%.0s' $(seq 2000); printf '\n'
+} > "$deep"
+# One worker: the deep job runs first on the thread that must then
+# answer counter8.
+out=$(printf '%s\n' \
+    "{\"op\":\"check\",\"id\":\"deep\",\"path\":\"$deep\"}" \
+    '{"op":"check","id":"after","path":"models/counter8.smv"}' \
+    | ./target/release/smc serve --jobs 1) && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "depth drill: expected exit 2, got $rc: $out"; exit 1; }
+grep -q '"id":"deep".*"outcome":"input_error"' <<<"$out" \
+    || { echo "depth drill: deep SPEC not an input error: $out"; exit 1; }
+grep -q '"id":"after".*"outcome":"pass"' <<<"$out" \
+    || { echo "depth drill: the next request went unanswered: $out"; exit 1; }
+grep -q '"op":"drained","served":2,"rejected":0,"worst_exit":2' <<<"$out" \
+    || { echo "depth drill: bad drained summary: $out"; exit 1; }
+./target/release/smc check "$deep" >/dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "depth drill: smc check should exit 2, got $rc"; exit 1; }
+rm -f "$deep"
+
 echo "== heap inspection smoke =="
 # The JSON report is one schema-versioned object; spot-check the stamp
 # and that the structural sections are present.

@@ -473,6 +473,29 @@ fn check_routes_load_errors_through_diagnostics() {
 }
 
 #[test]
+fn too_deep_syntax_is_a_coded_parse_error_not_a_stack_overflow() {
+    let model = "MODULE main\nVAR x : boolean;\n";
+    let chain = vec!["x"; 200_000].join(" & ");
+    let parens = format!("{}x{}", "(".repeat(2_000), ")".repeat(2_000));
+    for (name, spec) in [("chain", chain), ("parens", parens)] {
+        let path = write_temp(&format!("deep_{name}"), &format!("{model}SPEC {spec}\n"));
+        let out = smc().arg("check").arg(&path).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{name}: parse error exits 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error[E001]"), "{name}: {stderr}");
+        assert!(stderr.contains("nested deeper than 512 levels"), "{name}: {stderr}");
+        std::fs::remove_file(path).ok();
+    }
+    // The same bound guards an ad-hoc CTL formula.
+    let path = write_temp("deep_formula", model);
+    let nots = format!("{}x", "!".repeat(50_000));
+    let out = smc().arg("spec").arg(&path).arg(&nots).output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "bad formula exits 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nested deeper than 512 levels"));
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn check_with_lint_flag_keeps_verdicts_identical() {
     let path = write_temp("check_lint", TOGGLE);
     let plain = smc().arg("check").arg(&path).output().expect("runs");

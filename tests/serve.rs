@@ -351,6 +351,54 @@ fn bad_requests_are_rejected_without_killing_the_server() {
 }
 
 #[test]
+fn hostile_nesting_is_refused_and_the_server_keeps_serving() {
+    // One worker: every job runs on the same thread, so an overflow on
+    // any of them would leave `next` unanswered.
+    let model = "MODULE main\nVAR x : boolean;\nASSIGN init(x) := FALSE; next(x) := !x;\n";
+    let deep_spec = format!("{model}SPEC {}x{}\n", "(".repeat(2_000), ")".repeat(2_000));
+    let chain_spec = format!("{model}SPEC {}\n", vec!["x"; 5_000].join(" & "));
+    // Exactly at the limit: a 512-atom chain is 512 levels high.
+    let at_limit = vec!["x"; 512].join(" & ");
+    let (code, lines) = serve(
+        &["--jobs", "1"],
+        &[
+            "[".repeat(300_000),
+            format!(r#"{{"op":"check","id":"parens","source":"{}"}}"#, esc(&deep_spec)),
+            format!(r#"{{"op":"check","id":"chain","source":"{}"}}"#, esc(&chain_spec)),
+            format!(
+                r#"{{"op":"check","id":"nots","source":"{}","spec":"{}x"}}"#,
+                esc(model),
+                "!".repeat(50_000)
+            ),
+            format!(
+                r#"{{"op":"check","id":"limit","source":"{}","spec":"{at_limit}","trace":true}}"#,
+                esc(model)
+            ),
+            format!(r#"{{"op":"check","id":"next","source":"{}"}}"#, esc(COUNTER)),
+        ],
+    );
+    assert_eq!(lines.len(), 7, "six answers + drained summary: {lines:?}");
+    assert!(lines[0].contains(r#""outcome":"rejected","reason":"bad_request""#), "{}", lines[0]);
+    for (line, id) in lines[1..4].iter().zip(["parens", "chain", "nots"]) {
+        assert!(line.contains(&format!(r#""id":"{id}""#)), "{line}");
+        assert!(line.contains(r#""outcome":"input_error","exit_class":2"#), "{line}");
+        assert!(line.contains("nested deeper than 512 levels"), "{line}");
+    }
+    assert!(lines[4].contains(r#""id":"limit""#), "{}", lines[4]);
+    assert!(lines[4].contains(r#""outcome":"fail","exit_class":1"#), "{}", lines[4]);
+    assert!(lines[4].contains(r#""trace":"#), "a counterexample rides along: {}", lines[4]);
+    assert!(lines[5].contains(r#""id":"next""#), "{}", lines[5]);
+    assert!(lines[5].contains(r#""outcome":"pass""#), "{}", lines[5]);
+    assert!(
+        lines[6]
+            .starts_with(r#"{"schema":1,"op":"drained","served":5,"rejected":1,"worst_exit":2"#),
+        "{}",
+        lines[6]
+    );
+    assert_eq!(code, 2);
+}
+
+#[test]
 fn coi_serve_answers_with_identical_verdicts() {
     // `AF b0` depends only on b0, so the COI planner slices COUNTER down
     // to 1/2 variables for that spec — the verdict payload must not move.
