@@ -344,7 +344,7 @@ impl<'m> SupportMap<'m> {
                 // Enum symbols and unknown names carry no support.
             }
             _ => {
-                for child in children(e) {
+                for child in e.children() {
                     self.collect(child, out, expanding);
                 }
             }
@@ -620,37 +620,6 @@ impl EvalCtx<'_> {
             }
         }
         value
-    }
-}
-
-/// All direct subexpressions, for generic traversal.
-fn children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Bool(_) | Expr::Int(_) | Expr::Ident(_) | Expr::Next(_) => Vec::new(),
-        Expr::Not(a) => vec![a],
-        Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::Implies(a, b)
-        | Expr::Iff(a, b)
-        | Expr::Eq(a, b)
-        | Expr::Neq(a, b)
-        | Expr::Lt(a, b)
-        | Expr::Le(a, b)
-        | Expr::Gt(a, b)
-        | Expr::Ge(a, b)
-        | Expr::Add(a, b)
-        | Expr::Sub(a, b)
-        | Expr::Mul(a, b)
-        | Expr::Mod(a, b) => vec![a, b],
-        Expr::Case(branches) => {
-            let mut out = Vec::with_capacity(branches.len() * 2);
-            for CaseBranch { condition, value, .. } in branches {
-                out.push(condition);
-                out.push(value);
-            }
-            out
-        }
-        Expr::Set(elems) => elems.iter().collect(),
     }
 }
 

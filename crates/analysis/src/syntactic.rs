@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use smc_smv::{Assign, AssignKind, CaseBranch, Decl, Expr, Module, Section, Span, VarType};
+use smc_smv::{Assign, AssignKind, Decl, Expr, Module, Section, Span, VarType};
 
 use crate::diag::{Diagnostic, Report};
 
@@ -264,7 +264,7 @@ impl<'m> Pass<'m> {
                 ));
             }
             _ => {
-                for child in children(e) {
+                for child in e.children() {
                     self.walk_define_body(child, var_reads, def_reads);
                 }
             }
@@ -348,7 +348,7 @@ impl<'m> Pass<'m> {
                 self.walk(b, ctx);
             }
             _ => {
-                for child in children(e) {
+                for child in e.children() {
                     self.walk(child, ctx);
                 }
             }
@@ -547,36 +547,5 @@ impl<'m> Pass<'m> {
                 .with_note("the assignments cannot be evaluated in any order"),
             );
         }
-    }
-}
-
-/// All direct subexpressions, for generic traversal.
-fn children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Bool(_) | Expr::Int(_) | Expr::Ident(_) | Expr::Next(_) => Vec::new(),
-        Expr::Not(a) => vec![a],
-        Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::Implies(a, b)
-        | Expr::Iff(a, b)
-        | Expr::Eq(a, b)
-        | Expr::Neq(a, b)
-        | Expr::Lt(a, b)
-        | Expr::Le(a, b)
-        | Expr::Gt(a, b)
-        | Expr::Ge(a, b)
-        | Expr::Add(a, b)
-        | Expr::Sub(a, b)
-        | Expr::Mul(a, b)
-        | Expr::Mod(a, b) => vec![a, b],
-        Expr::Case(branches) => {
-            let mut out = Vec::with_capacity(branches.len() * 2);
-            for CaseBranch { condition, value, .. } in branches {
-                out.push(condition);
-                out.push(value);
-            }
-            out
-        }
-        Expr::Set(elems) => elems.iter().collect(),
     }
 }

@@ -30,10 +30,17 @@ const PIPELINE_SMV: &str = include_str!("../../../models/pipeline.smv");
 
 /// Every family the observatory knows, in run order: the two SMV demo
 /// models, the paper's Seitz arbiter (counterexample-bearing liveness
-/// spec), a 9-stage inverter ring (witness-bearing reset spec), the
-/// parallel engine's batch throughput workload, and the
-/// cone-of-influence reduction on the three-component pipeline model.
-pub const ALL_FAMILIES: &[&str] = &["mutex", "arbiter2", "seitz", "ring9", "batch", "coi"];
+/// spec), the same circuit exported with `Netlist::to_smv` and compiled
+/// by the SMV front end (its free scheduler input `sel` puts the
+/// two-part transition relation on the preimage path), a 9-stage
+/// inverter ring (witness-bearing reset spec), the parallel engine's
+/// batch throughput workload, and the cone-of-influence reduction on
+/// the three-component pipeline model.
+pub const ALL_FAMILIES: &[&str] =
+    &["mutex", "arbiter2", "seitz", "seitz_smv", "ring9", "batch", "coi"];
+
+/// The `seitz` family's liveness spec, shared by the `seitz_smv` export.
+const SEITZ_SPEC: &str = "AG (tr1 -> AF ta1)";
 
 /// Jobs in the batch family's manifest. Large enough that the pool's
 /// injector/steal machinery actually cycles, small enough for a
@@ -358,12 +365,16 @@ fn run_family_once(
     let instrumented = config.telemetry || config.recorder;
     let mut times = RepTimes::default();
     let model = match name {
-        "mutex" | "arbiter2" => {
-            let source = if name == "mutex" { MUTEX_SMV } else { ARBITER2_SMV };
+        "mutex" | "arbiter2" | "seitz_smv" => {
+            let source = match name {
+                "mutex" => MUTEX_SMV.to_string(),
+                "arbiter2" => ARBITER2_SMV.to_string(),
+                _ => seitz_arbiter().netlist.to_smv() + &format!("SPEC {SEITZ_SPEC}\n"),
+            };
             let tele = if instrumented { bench_telemetry(config) } else { Telemetry::disabled() };
             let t0 = Instant::now();
             let compiled =
-                smc_smv::compile_with(source, None, tele).map_err(|e| format!("{name}: {e}"))?;
+                smc_smv::compile_with(&source, None, tele).map_err(|e| format!("{name}: {e}"))?;
             times.compile = t0.elapsed().as_secs_f64();
             let specs: Vec<_> = compiled.specs.iter().map(|s| s.formula.clone()).collect();
             let mut model = compiled.model;
@@ -393,7 +404,7 @@ fn run_family_once(
                 model.manager_mut().set_telemetry(bench_telemetry(config));
             }
             let spec = if name == "seitz" {
-                ctl::parse("AG (tr1 -> AF ta1)").map_err(|e| format!("{name}: {e}"))?
+                ctl::parse(SEITZ_SPEC).map_err(|e| format!("{name}: {e}"))?
             } else {
                 ctl::parse("AG (EF inv0)").map_err(|e| format!("{name}: {e}"))?
             };

@@ -53,6 +53,15 @@ struct Partition {
     pre_cubes: Vec<Bdd>,
 }
 
+impl Partition {
+    /// Every BDD the partition holds: the parts and both schedules'
+    /// cubes. All of them stay protected while the partition is
+    /// installed, so a collection cannot reclaim a cube under a handle.
+    fn roots(&self) -> impl Iterator<Item = Bdd> + '_ {
+        self.parts.iter().chain(&self.img_cubes).chain(&self.pre_cubes).copied()
+    }
+}
+
 impl SymbolicModel {
     /// Assembles a model from raw parts. Prefer the builder; this exists
     /// for frontends (SMV compiler, circuit netlists) that construct the
@@ -130,15 +139,21 @@ impl SymbolicModel {
     /// in no later part is quantified immediately, keeping intermediate
     /// BDDs small.
     ///
-    /// Pass an empty vector to revert to the monolithic relation.
+    /// Pass an empty vector to revert to the monolithic relation. The
+    /// parts and cubes of a replaced or removed partition are released
+    /// to the garbage collector.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if the conjunction of the parts differs
     /// from the stored transition relation.
     pub fn set_partition(&mut self, parts: Vec<Bdd>) {
+        if let Some(old) = self.partition.take() {
+            for b in old.roots() {
+                self.manager.unprotect(b);
+            }
+        }
         if parts.is_empty() {
-            self.partition = None;
             return;
         }
         debug_assert_eq!(
@@ -162,10 +177,11 @@ impl SymbolicModel {
         }
         let img_cubes = img_sched.into_iter().map(|vars| self.manager.cube(&vars)).collect();
         let pre_cubes = pre_sched.into_iter().map(|vars| self.manager.cube(&vars)).collect();
-        for &p in &parts {
-            self.manager.protect(p);
+        let partition = Partition { parts, img_cubes, pre_cubes };
+        for b in partition.roots() {
+            self.manager.protect(b);
         }
-        self.partition = Some(Partition { parts, img_cubes, pre_cubes });
+        self.partition = Some(partition);
     }
 
     /// Is a conjunctive partition installed?

@@ -3,7 +3,12 @@
 
 use proptest::prelude::*;
 
-use crate::{condensation, tarjan_scc, ExplicitModel, KripkeError, State, SymbolicModelBuilder};
+use smc_bdd::Bdd;
+
+use crate::{
+    condensation, tarjan_scc, ExplicitModel, KripkeError, State, SymbolicModel,
+    SymbolicModelBuilder,
+};
 
 /// An n-bit binary counter model.
 fn counter(bits: usize) -> crate::SymbolicModel {
@@ -208,6 +213,63 @@ fn partition_can_be_removed() {
     m.set_partition(Vec::new());
     assert!(!m.is_partitioned());
     assert_eq!(m.reachable_count().unwrap(), 8.0);
+}
+
+/// Two independent 2-bit counters, one relation each. Every
+/// quantification cube of the partition spans two variables, so nothing
+/// but the partition itself roots it.
+fn twin_counters(partitioned: bool) -> SymbolicModel {
+    let mut b = SymbolicModelBuilder::new();
+    let ids: Vec<_> =
+        ["a0", "a1", "c0", "c1"].iter().map(|n| b.bool_var(n).expect("fresh")).collect();
+    b.init_zero();
+    for pair in ids.chunks(2) {
+        let (lo, lo2, hi, hi2) = (b.cur(pair[0]), b.next(pair[0]), b.cur(pair[1]), b.next(pair[1]));
+        let m = b.manager_mut();
+        let flip = m.not(lo);
+        let step_lo = m.iff(lo2, flip);
+        let carry = m.xor(hi, lo);
+        let step_hi = m.iff(hi2, carry);
+        let rel = m.and(step_lo, step_hi);
+        b.constrain_trans(rel);
+    }
+    if partitioned {
+        b.partition_transitions();
+    }
+    b.build().expect("twin counters build")
+}
+
+#[test]
+fn partition_survives_garbage_collection() {
+    let mut mono = twin_counters(false);
+    let mut part = twin_counters(true);
+    assert!(part.is_partitioned());
+    part.manager_mut().gc(&[]);
+    type Op = fn(&mut SymbolicModel, Bdd) -> Bdd;
+    let ops: [(&str, Op); 2] =
+        [("image", SymbolicModel::image), ("preimage", SymbolicModel::preimage)];
+    for value in 0..16usize {
+        let s = State((0..4).map(|i| value >> i & 1 == 1).collect());
+        for (name, op) in ops {
+            let states = |m: &mut SymbolicModel| {
+                let sb = m.state_bdd(&s);
+                let set = op(m, sb);
+                m.states_in(set, 64).expect("small")
+            };
+            assert_eq!(states(&mut mono), states(&mut part), "{name} of {value}");
+        }
+    }
+}
+
+#[test]
+fn removing_a_partition_releases_it_to_the_collector() {
+    let mut m = partitioned_counter(5);
+    m.manager_mut().gc(&[]);
+    let with_parts = m.manager().num_nodes();
+    m.set_partition(Vec::new());
+    m.manager_mut().gc(&[]);
+    assert!(m.manager().num_nodes() < with_parts, "the parts are still protected");
+    m.manager().validate().expect("no dangling protected roots");
 }
 
 #[test]

@@ -181,6 +181,33 @@ impl Ctl {
         }
     }
 
+    /// An upper bound on the node count of
+    /// [`to_existential_form`](Self::to_existential_form)'s result,
+    /// computed without building it (saturating; exact unless double
+    /// negations or constants simplify away). `<->` and `A[f U g]` copy
+    /// their operands, so it can be exponential in the formula's own size.
+    pub fn existential_size(&self) -> usize {
+        let s = |f: &Ctl| f.existential_size();
+        let sum = |parts: &[usize]| parts.iter().fold(0usize, |acc, &n| acc.saturating_add(n));
+        match self {
+            Ctl::True | Ctl::False | Ctl::Atom(_) => 1,
+            Ctl::Not(f) | Ctl::Ex(f) | Ctl::Eg(f) => sum(&[1, s(f)]),
+            Ctl::Ef(f) => sum(&[2, s(f)]),
+            Ctl::Ax(f) | Ctl::Af(f) => sum(&[3, s(f)]),
+            Ctl::Ag(f) => sum(&[4, s(f)]),
+            Ctl::And(f, g) | Ctl::Or(f, g) | Ctl::Eu(f, g) => sum(&[1, s(f), s(g)]),
+            Ctl::Implies(f, g) => sum(&[2, s(f), s(g)]),
+            Ctl::Iff(f, g) => {
+                let (f, g) = (s(f), s(g));
+                sum(&[5, f, f, g, g])
+            }
+            Ctl::Au(f, g) => {
+                let g = s(g);
+                sum(&[10, s(f), g, g, g])
+            }
+        }
+    }
+
     /// The atomic propositions occurring in the formula, deduplicated in
     /// first-occurrence order.
     pub fn atoms(&self) -> Vec<&str> {

@@ -37,7 +37,7 @@ pub use ctl::Ctl;
 pub use ctlstar::{EFairness, GfFgDisjunct, PathFormula, StateFormula};
 pub use error::ParseError;
 pub use lexer::RESERVED_WORDS;
-pub use parser::MAX_SYNTAX_DEPTH;
+pub use parser::{MAX_FORMULA_SIZE, MAX_SYNTAX_DEPTH};
 pub use polarity::{atom_occurrences, replace_atom_occurrence, AtomOccurrence, Polarity};
 
 #[cfg(test)]

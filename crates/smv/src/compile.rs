@@ -1,6 +1,6 @@
 //! Compiling SMV programs to symbolic Kripke structures.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use smc_bdd::{Bdd, BddManager, Budget, Var};
 use smc_kripke::{State, SymbolicModel};
@@ -309,6 +309,8 @@ fn compile_module_full(
         }
     }
 
+    let inputs = free_inputs(program, &var_index, &defines);
+
     // ---- Allocate interleaved BDD variables. ----
     let mut manager = BddManager::new();
     manager.set_telemetry(tele);
@@ -344,15 +346,23 @@ fn compile_module_full(
     };
 
     // ---- Domain-validity constraints. ----
+    // The free inputs' next-state validity is kept apart as `D_I`, the
+    // first part of the transition relation (see below).
     let mut valid_cur = Bdd::TRUE;
     let mut valid_nxt = Bdd::TRUE;
-    for i in 0..vars.len() {
+    let mut inputs_nxt = Bdd::TRUE;
+    for (i, &input) in inputs.iter().enumerate() {
         let vc = ctx.valid_encoding(i, Rail::Cur);
         let vn = ctx.valid_encoding(i, Rail::Nxt);
         valid_cur = ctx.manager.and(valid_cur, vc);
-        valid_nxt = ctx.manager.and(valid_nxt, vn);
+        if input {
+            inputs_nxt = ctx.manager.and(inputs_nxt, vn);
+        } else {
+            valid_nxt = ctx.manager.and(valid_nxt, vn);
+        }
     }
-    ctx.valid = ctx.manager.and(valid_cur, valid_nxt);
+    let all_nxt = ctx.manager.and(valid_nxt, inputs_nxt);
+    ctx.valid = ctx.manager.and(valid_cur, all_nxt);
 
     // ---- Sections. ----
     let mut init = valid_cur;
@@ -425,8 +435,19 @@ fn compile_module_full(
     // Register per-variable boolean atoms so boolean vars are usable in
     // externally parsed CTL directly (single-bit vars already carry
     // their own name as a state bit).
-    let Ctx { manager, cur, nxt, .. } = ctx;
-    let model = SymbolicModel::assemble(manager, names, cur, nxt, init, trans, fairness, labels)?;
+    let Ctx { mut manager, cur, nxt, .. } = ctx;
+    // With free inputs, `trans` so far is `R`, everything but the
+    // inputs' next-state validity `D_I`. Installing the exact split
+    // `N = D_I ∧ R` lets a preimage quantify the input bits against
+    // `D_I` alone before the product with `R`.
+    let mut parts = Vec::new();
+    if inputs.contains(&true) {
+        parts = vec![inputs_nxt, trans];
+        trans = manager.and(inputs_nxt, trans);
+    }
+    let mut model =
+        SymbolicModel::assemble(manager, names, cur, nxt, init, trans, fairness, labels)?;
+    model.set_partition(parts);
     let mut compiled =
         CompiledModel { model, specs: compiled_specs, fairness_spans, branches, vars };
     // The totality check runs the reachability fixpoint — by far the
@@ -439,6 +460,53 @@ fn compile_module_full(
         compiled.model.check_total()?;
     }
     Ok(compiled)
+}
+
+/// Marks the free inputs among the declared variables: those that no
+/// `ASSIGN next(·)` assigns and whose `next(·)` no `TRANS` mentions,
+/// `DEFINE` macros expanded. Their only next-state constraint is domain
+/// validity. Runs on the syntax alone, before any BDD is built; each
+/// macro body is walked once, so cyclic macros terminate here and are
+/// reported by the compiler proper.
+fn free_inputs(
+    program: &Module,
+    var_index: &HashMap<String, usize>,
+    defines: &HashMap<String, Expr>,
+) -> Vec<bool> {
+    let mut input = vec![true; var_index.len()];
+    let mut pending: Vec<&Expr> = Vec::new();
+    for section in &program.sections {
+        match section {
+            Section::Assign(assigns) => {
+                for a in assigns.iter().filter(|a| a.kind == AssignKind::Next) {
+                    if let Some(&i) = var_index.get(&a.var) {
+                        input[i] = false;
+                    }
+                }
+            }
+            Section::Trans(e, _) => pending.push(e),
+            _ => {}
+        }
+    }
+    let mut expanded: HashSet<&str> = HashSet::new();
+    while let Some(e) = pending.pop() {
+        match e {
+            Expr::Ident(name) => {
+                if let Some((name, def)) = defines.get_key_value(name) {
+                    if expanded.insert(name) {
+                        pending.push(def);
+                    }
+                }
+            }
+            Expr::Next(name) => {
+                if let Some(&i) = var_index.get(name) {
+                    input[i] = false;
+                }
+            }
+            _ => pending.extend(e.children()),
+        }
+    }
+    input
 }
 
 /// The most values a ranged variable may take. The compiler lists every

@@ -212,11 +212,12 @@ COMMANDS:
              `spec` and `batch` as --heap
     dot      write the requested BDD as Graphviz DOT to stdout
     bench    run the benchmark observatory (families: mutex, arbiter2,
-             seitz, ring9; phases: compile, reach, check, witness) and
-             gate against the --baseline ledger: exit 1 on a regression
-             beyond --tolerance (default 10%), append the run to the
-             ledger's history when clean; --update re-baselines in
-             place; --no-gate runs without touching any file
+             seitz, seitz_smv, ring9, batch, coi; phases: compile,
+             reach, check, witness) and gate against the --baseline
+             ledger: exit 1 on a regression beyond --tolerance (default
+             10%), append the run to the ledger's history when clean;
+             --update re-baselines in place; --no-gate runs without
+             touching any file
     profile  render (report) or convert (export) a recorded .jsonl
              trace; export targets the Chrome trace-event format
              (--chrome, for chrome://tracing / Perfetto) or the
