@@ -2,10 +2,10 @@
 //! plus the general if-then-else.
 //!
 //! The binary connectives on the model-checking hot path (conjunction,
-//! disjunction, difference) get dedicated two-operand recursions with
-//! commutativity-normalized cache keys, so `a ∧ b` and `b ∧ a` share one
-//! computed-table entry and the key is two ids instead of three. `ite`
-//! remains the general case for everything irregular.
+//! disjunction, difference) get dedicated two-operand recursions, so the
+//! key is two ids instead of three; the symmetric ones normalize it, so
+//! `a ∧ b` and `b ∧ a` share one computed-table entry. `ite` remains the
+//! general case for everything irregular.
 
 use crate::manager::{BddManager, CacheOp};
 use crate::node::Bdd;
@@ -225,9 +225,35 @@ impl BddManager {
     }
 
     /// Difference `f ∧ ¬g` (set subtraction when BDDs denote state sets).
+    /// Dedicated memoized recursion, so `¬g` is never built.
     pub fn diff(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let ng = self.not(g);
-        self.and(f, ng)
+        if self.op_entry() {
+            return Bdd::FALSE;
+        }
+        if f == g || f.is_false() || g.is_true() {
+            return Bdd::FALSE;
+        }
+        if g.is_false() {
+            return f;
+        }
+        if f.is_true() {
+            return self.not(g);
+        }
+        let key = (CacheOp::Diff, f.0, g.0, 0);
+        if let Some(hit) = self.cache_get(key) {
+            return hit;
+        }
+        let lf = self.level(f);
+        let lg = self.level(g);
+        let top = lf.min(lg);
+        let var = self.level2var[top as usize];
+        let (f0, f1) = self.cofactors_at(f, top);
+        let (g0, g1) = self.cofactors_at(g, top);
+        let lo = self.diff(f0, g0);
+        let hi = self.diff(f1, g1);
+        let result = self.mk(var, lo, hi);
+        self.cache_put(key, result);
+        result
     }
 
     /// Joint denial `¬(f ∨ g)`.

@@ -3,8 +3,9 @@
 //! Hot-path layout: the per-variable unique tables and the computed table
 //! are hand-rolled open-addressing tables over plain `u32` slots — no
 //! SipHash, no per-entry allocation. The computed table is a bounded,
-//! lossy, 2-way set-associative cache that is invalidated in O(1) by a
-//! generation bump when GC or reordering makes memoized results stale.
+//! lossy, 2-way set-associative cache that starts small, grows while it
+//! churns, and is invalidated in O(1) by a generation bump when GC or
+//! reordering makes memoized results stale.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -233,15 +234,16 @@ pub(crate) enum CacheOp {
     Forall = 6,
     AndExists = 7,
     Constrain = 8,
+    Diff = 9,
 }
 
 /// Number of distinct `CacheOp` tags.
-pub const NUM_CACHE_OPS: usize = 9;
+pub const NUM_CACHE_OPS: usize = 10;
 
 /// Human-readable names for the per-operation stat rows, indexed like
 /// [`BddManagerStats::per_op`].
 pub const CACHE_OP_NAMES: [&str; NUM_CACHE_OPS] =
-    ["ite", "and", "or", "xor", "not", "exists", "forall", "and_exists", "constrain"];
+    ["ite", "and", "or", "xor", "not", "exists", "forall", "and_exists", "constrain", "diff"];
 
 pub(crate) type CacheKey = (CacheOp, u32, u32, u32);
 
@@ -260,42 +262,91 @@ struct CacheEntry {
 const EMPTY_ENTRY: CacheEntry = CacheEntry { a: 0, b: 0, c: 0, op: 0, result: EMPTY, gen: 0 };
 
 /// Bounded, lossy computed table: 2-way set-associative (direct-mapped
-/// at capacity 1), evicting on set overflow instead of growing. Memory
-/// stays fixed no matter how long a fixpoint runs; GC/reorder
-/// invalidation is an O(1) generation bump.
+/// at capacity 1), evicting on set overflow. It starts at
+/// [`INITIAL_CAPACITY`](Self::INITIAL_CAPACITY) entries and, each time
+/// it has evicted as many live entries as it holds, grows by
+/// [`GROWTH`](Self::GROWTH) up to [`MAX_CAPACITY`](Self::MAX_CAPACITY),
+/// so a small model pays for a small table and a long fixpoint still
+/// runs in fixed memory. GC/reorder invalidation is an O(1) generation
+/// bump.
 #[derive(Debug, Clone)]
 pub(crate) struct ComputedCache {
     entries: Vec<CacheEntry>,
     ways: usize,
     set_mask: usize,
     gen: u32,
+    /// Live entries evicted since the last resize.
+    evicted: usize,
+    /// Whether churn may still grow the table: false at the ceiling and
+    /// once [`BddManager::set_cache_capacity`] fixed a capacity.
+    growable: bool,
 }
 
 impl ComputedCache {
-    /// Default capacity (entries). 2^17 × 24 B ≈ 3 MiB.
-    pub(crate) const DEFAULT_CAPACITY: usize = 1 << 17;
+    /// Capacity of a fresh manager's table (entries). 2^12 × 24 B = 96 KiB.
+    pub(crate) const INITIAL_CAPACITY: usize = 1 << 12;
+    /// Ceiling of growth (entries). 2^17 × 24 B = 3 MiB.
+    pub(crate) const MAX_CAPACITY: usize = 1 << 17;
+    /// Factor by which a churning table grows.
+    const GROWTH: usize = 4;
 
+    /// A table that starts at about `capacity` entries and grows on
+    /// churn.
+    pub(crate) fn growing(capacity: usize) -> ComputedCache {
+        let table = ComputedCache::with_capacity(capacity.max(2));
+        ComputedCache { growable: table.capacity() < Self::MAX_CAPACITY, ..table }
+    }
+
+    /// A table fixed at about `capacity` entries (rounded to the set
+    /// geometry); it never grows.
     pub(crate) fn with_capacity(capacity: usize) -> ComputedCache {
         let ways = if capacity <= 1 { 1 } else { 2 };
         let sets = (capacity / ways).next_power_of_two().max(1);
-        ComputedCache { entries: vec![EMPTY_ENTRY; sets * ways], ways, set_mask: sets - 1, gen: 1 }
+        ComputedCache {
+            entries: vec![EMPTY_ENTRY; sets * ways],
+            ways,
+            set_mask: sets - 1,
+            gen: 1,
+            evicted: 0,
+            growable: false,
+        }
     }
 
     pub(crate) fn capacity(&self) -> usize {
         self.entries.len()
     }
 
+    /// Quadruples the table (capped at the ceiling) and moves the live
+    /// entries over. A set's entries land in the sets whose low index
+    /// bits equal the old set's, so no entry is lost and each keeps its
+    /// recency order.
+    fn grow(&mut self) {
+        let capacity = (self.capacity() * Self::GROWTH).min(Self::MAX_CAPACITY);
+        let mut next = ComputedCache::with_capacity(capacity);
+        next.gen = self.gen;
+        for e in &self.entries {
+            if e.result == EMPTY || e.gen != self.gen {
+                continue;
+            }
+            let base = next.set_of(e.op, e.a, e.b, e.c);
+            let way = if next.entries[base].result == EMPTY { base } else { base + 1 };
+            debug_assert_eq!(next.entries[way].result, EMPTY, "grow overfilled a set");
+            next.entries[way] = *e;
+        }
+        next.growable = capacity < Self::MAX_CAPACITY;
+        *self = next;
+    }
+
+    /// First slot of the set an `(op, a, b, c)` key maps to.
     #[inline]
-    fn set_of(&self, key: &CacheKey) -> usize {
-        let h = mix64(
-            ((key.0 as u64) << 56) ^ ((key.1 as u64) << 34) ^ ((key.2 as u64) << 17) ^ key.3 as u64,
-        );
+    fn set_of(&self, op: u8, a: u32, b: u32, c: u32) -> usize {
+        let h = mix64(((op as u64) << 56) ^ ((a as u64) << 34) ^ ((b as u64) << 17) ^ c as u64);
         (h as usize & self.set_mask) * self.ways
     }
 
     #[inline]
     pub(crate) fn get(&mut self, key: &CacheKey) -> Option<Bdd> {
-        let base = self.set_of(key);
+        let base = self.set_of(key.0 as u8, key.1, key.2, key.3);
         for w in 0..self.ways {
             let e = self.entries[base + w];
             if e.result != EMPTY
@@ -315,10 +366,12 @@ impl ComputedCache {
         None
     }
 
-    /// Inserts, returning `true` if a live entry was evicted.
+    /// Inserts, returning `true` if a live entry was evicted. The
+    /// eviction that brings the count since the last resize up to the
+    /// capacity grows a growable table.
     #[inline]
     pub(crate) fn put(&mut self, key: &CacheKey, value: Bdd) -> bool {
-        let base = self.set_of(key);
+        let base = self.set_of(key.0 as u8, key.1, key.2, key.3);
         let last = base + self.ways - 1;
         let victim = self.entries[last];
         let evicted = victim.result != EMPTY && victim.gen == self.gen;
@@ -334,6 +387,12 @@ impl ComputedCache {
             result: value.0,
             gen: self.gen,
         };
+        if evicted && self.growable {
+            self.evicted += 1;
+            if self.evicted >= self.capacity() {
+                self.grow();
+            }
+        }
         evicted
     }
 
@@ -528,7 +587,7 @@ impl BddManager {
             nodes: vec![Node::terminal(), Node::terminal()],
             free: Vec::new(),
             tables: Vec::new(),
-            cache: ComputedCache::with_capacity(ComputedCache::DEFAULT_CAPACITY),
+            cache: ComputedCache::growing(ComputedCache::INITIAL_CAPACITY),
             var_names: Vec::new(),
             name_index: HashMap::new(),
             var2level: Vec::new(),
@@ -584,6 +643,7 @@ impl BddManager {
         metrics.gauge_set("smc_bdd_live_nodes", &[], stats.live_nodes as f64);
         metrics.gauge_set("smc_bdd_peak_nodes", &[], stats.peak_nodes as f64);
         metrics.counter_set("smc_bdd_created_nodes_total", &[], stats.created_nodes);
+        metrics.gauge_set("smc_bdd_cache_capacity", &[], self.cache_capacity() as f64);
         metrics.counter_set("smc_gc_runs_total", &[], stats.gc_runs);
         metrics.counter_set("smc_gc_reclaimed_nodes_total", &[], stats.gc_reclaimed);
         for (op, c) in stats.per_op() {
@@ -876,15 +936,18 @@ impl BddManager {
         }
     }
 
-    /// Resizes the bounded computed table to approximately `entries`
-    /// slots (rounded to the implementation's set geometry; minimum 1).
-    /// Existing memoized results are dropped. A 1-entry cache is the
-    /// maximally-evicting configuration used by the ablation tests.
+    /// Fixes the bounded computed table at approximately `entries` slots
+    /// (rounded to the implementation's set geometry; minimum 1). From
+    /// then on the table no longer grows on churn. Existing memoized
+    /// results are dropped. A 1-entry cache is the maximally-evicting
+    /// configuration used by the ablation tests.
     pub fn set_cache_capacity(&mut self, entries: usize) {
         self.cache = ComputedCache::with_capacity(entries.max(1));
     }
 
-    /// Current computed-table capacity in entries.
+    /// Current computed-table capacity in entries: 4,096 in a fresh
+    /// manager, growing ×4 per churn of its size up to 2^17 unless
+    /// [`set_cache_capacity`](Self::set_cache_capacity) fixed it.
     pub fn cache_capacity(&self) -> usize {
         self.cache.capacity()
     }
@@ -999,6 +1062,26 @@ mod table_tests {
         for i in 0..64 {
             assert_eq!(c.get(&key(i)), None, "stale hit after invalidation");
         }
+    }
+
+    #[test]
+    fn computed_cache_grows_by_four_up_to_the_ceiling_and_keeps_live_entries() {
+        let mut c = ComputedCache::growing(ComputedCache::INITIAL_CAPACITY);
+        let key = |i: u32| (CacheOp::And, i, i ^ 0x5555, 0);
+        let mut sizes = vec![c.capacity()];
+        for i in 0..400_000u32 {
+            // The put that grows the table replaces a live entry, so the
+            // live count going in is the one growth must keep.
+            let live = (c.evicted + 1 == c.capacity()).then(|| c.occupancy().1);
+            c.put(&key(i), Bdd(i));
+            if c.capacity() != sizes[sizes.len() - 1] {
+                sizes.push(c.capacity());
+                assert_eq!(Some(c.occupancy().1), live, "growth lost an entry");
+                assert_eq!(c.get(&key(i)), Some(Bdd(i)), "the newest entry survives");
+            }
+        }
+        assert_eq!(sizes, [1 << 12, 1 << 14, 1 << 16, 1 << 17]);
+        assert!(!c.growable, "no growth past the ceiling");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::manager::{BddManager, CacheOp};
 use crate::node::{Bdd, Var};
+use crate::subst::NodeMemo;
 
 impl BddManager {
     /// Builds the cube (positive conjunction) of a set of variables, the
@@ -223,22 +224,15 @@ impl BddManager {
     /// `f`, as in Section 2 of the paper.
     pub fn restrict(&mut self, f: Bdd, var: Var, value: bool) -> Bdd {
         let level = self.level_of_var(var) as u32;
-        let mut memo: std::collections::HashMap<Bdd, Bdd> = std::collections::HashMap::new();
-        self.restrict_rec(f, level, value, &mut memo)
+        self.restrict_rec(f, level, value, &mut NodeMemo::new())
     }
 
-    fn restrict_rec(
-        &mut self,
-        f: Bdd,
-        level: u32,
-        value: bool,
-        memo: &mut std::collections::HashMap<Bdd, Bdd>,
-    ) -> Bdd {
+    fn restrict_rec(&mut self, f: Bdd, level: u32, value: bool, memo: &mut NodeMemo) -> Bdd {
         let lf = self.level(f);
         if lf > level {
             return f; // f does not depend on the variable
         }
-        if let Some(&hit) = memo.get(&f) {
+        if let Some(hit) = memo.get(f) {
             return hit;
         }
         let n = self.node(f);

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use crate::manager::ComputedCache;
 use crate::{Bdd, BddError, BddManager, Var};
 
 /// A small boolean expression language used as the test oracle.
@@ -86,6 +87,18 @@ fn manager_with_vars(n: usize) -> (BddManager, Vec<Var>) {
     let mut m = BddManager::new();
     let vars = (0..n).map(|i| m.new_var(&format!("x{i}")).expect("fresh name")).collect();
     (m, vars)
+}
+
+/// A deterministic pseudo-random permutation of `vars` from `seed`.
+fn shuffled(vars: &[Var], seed: u64) -> Vec<Var> {
+    let mut order = vars.to_vec();
+    let mut state = seed | 1;
+    for i in (1..order.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let j = (state >> 33) as usize % (i + 1);
+        order.swap(i, j);
+    }
+    order
 }
 
 fn assignments(n: usize) -> impl Iterator<Item = Vec<bool>> {
@@ -300,6 +313,30 @@ fn swap_vars_is_an_involution() {
     let g = m.swap_vars(f, &cur, &nxt);
     let back = m.swap_vars(g, &cur, &nxt);
     assert_eq!(back, f);
+}
+
+#[test]
+fn rename_splices_with_ite_only_at_an_order_crossing() {
+    // The checker's interleaved rails: x0 x0' x1 x1' x2 x2'.
+    let (mut m, vars) = manager_with_vars(6);
+    let cur = [vars[0], vars[2], vars[4]];
+    let nxt = [vars[1], vars[3], vars[5]];
+    let (a, b, c) = (m.var(cur[0]), m.var(cur[1]), m.var(cur[2]));
+    let ab = m.xor(a, b);
+    let f = m.and(ab, c);
+    let lookups = m.stats().cache_lookups;
+    let g = m.swap_vars(f, &cur, &nxt);
+    assert_eq!(m.stats().cache_lookups, lookups, "every node rebuilt with mk alone");
+    assert_eq!(m.swap_vars(g, &cur, &nxt), f);
+    // Reversing the block puts x2' above x0': the rebuild must use ite.
+    let reversed = [(cur[0], nxt[2]), (cur[1], nxt[1]), (cur[2], nxt[0])];
+    let lookups = m.stats().cache_lookups;
+    let h = m.rename(f, &reversed);
+    assert!(m.stats().cache_lookups > lookups, "an order crossing goes through the cache");
+    for env in assignments(6) {
+        let expect = (env[5] ^ env[3]) && env[1];
+        assert_eq!(m.eval(h, &env), expect);
+    }
 }
 
 #[test]
@@ -740,6 +777,49 @@ fn single_entry_cache_evicts_and_stays_correct() {
     }
 }
 
+/// A deterministic stream of mixed operations over 16 variables whose
+/// distinct subproblems far outnumber a 4,096-entry table.
+fn churn(m: &mut BddManager, vars: &[Var]) -> Vec<Bdd> {
+    let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut pick = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut pool = lits.clone();
+    for _ in 0..600 {
+        let (f, g) = (pool[pick() % pool.len()], pool[pick() % pool.len()]);
+        let h = match pick() % 4 {
+            0 => m.and(f, g),
+            1 => m.or(f, g),
+            2 => m.xor(f, g),
+            _ => m.diff(f, g),
+        };
+        let x = lits[pick() % lits.len()];
+        let h = m.xor(h, x);
+        pool.push(h);
+    }
+    pool
+}
+
+#[test]
+fn computed_table_starts_small_and_grows_on_churn() {
+    let (mut grown, vars) = manager_with_vars(16);
+    assert_eq!(grown.cache_capacity(), 4096, "a fresh manager's table");
+    let expect = churn(&mut grown, &vars);
+    let capacity = grown.cache_capacity();
+    assert!([1 << 14, 1 << 16, 1 << 17].contains(&capacity), "grew ×4 to at most 2^17: {capacity}");
+    // The table's size never changes a result: tables fixed at the
+    // ceiling, below the start size and at one entry build the very same
+    // handles, and none of them grows.
+    for fixed in [1 << 17, 64, 1] {
+        let (mut m, vars) = manager_with_vars(16);
+        m.set_cache_capacity(fixed);
+        assert_eq!(churn(&mut m, &vars), expect, "fixed at {fixed}");
+        assert_eq!(m.cache_capacity(), fixed, "a fixed size never grows");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property tests against the truth-table oracle
 // ---------------------------------------------------------------------
@@ -856,15 +936,7 @@ proptest! {
     fn prop_reorder_round_trip(expr in arb_expr(ORACLE_VARS), seed in any::<u64>()) {
         let (mut m, vars) = manager_with_vars(ORACLE_VARS);
         let f = expr.build(&mut m, &vars);
-        // Deterministic pseudo-random permutation from the seed.
-        let mut order = vars.clone();
-        let mut state = seed | 1;
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            order.swap(i, j);
-        }
-        m.reorder(&order).expect("permutation");
+        m.reorder(&shuffled(&vars, seed)).expect("permutation");
         for env in assignments(ORACLE_VARS) {
             prop_assert_eq!(m.eval(f, &env), expr.eval(&env));
         }
@@ -874,12 +946,13 @@ proptest! {
     fn prop_specialized_ops_agree_with_ite_and_oracle(
         e1 in arb_expr(ORACLE_VARS),
         e2 in arb_expr(ORACLE_VARS),
-        cache_config in 0u8..3,
+        cache_config in 0u8..4,
     ) {
         let (mut m, vars) = manager_with_vars(ORACLE_VARS);
         match cache_config {
             1 => m.set_cache_enabled(false),
             2 => m.set_cache_capacity(1), // maximally-evicting bounded cache
+            3 => m.cache = ComputedCache::growing(2), // grows during the case
             _ => {}
         }
         let f = e1.build(&mut m, &vars);
@@ -888,6 +961,7 @@ proptest! {
         let and = m.and(f, g);
         let or = m.or(f, g);
         let xor = m.xor(f, g);
+        let diff = m.diff(f, g);
         let not_f = m.not(f);
         let not_g = m.not(g);
 
@@ -895,6 +969,7 @@ proptest! {
         prop_assert_eq!(and, m.ite(f, g, Bdd::FALSE));
         prop_assert_eq!(or, m.ite(f, Bdd::TRUE, g));
         prop_assert_eq!(xor, m.ite(f, not_g, g));
+        prop_assert_eq!(diff, m.ite(g, Bdd::FALSE, f));
         prop_assert_eq!(not_f, m.ite(f, Bdd::FALSE, Bdd::TRUE));
 
         // Cross-checks through independent recursion paths: De Morgan and
@@ -904,6 +979,7 @@ proptest! {
         let f_and_ng = m.and(f, not_g);
         let nf_and_g = m.and(not_f, g);
         prop_assert_eq!(xor, m.or(f_and_ng, nf_and_g));
+        prop_assert_eq!(diff, f_and_ng);
 
         // Commutativity (normalized cache keys must not change results).
         prop_assert_eq!(and, m.and(g, f));
@@ -916,7 +992,38 @@ proptest! {
             prop_assert_eq!(m.eval(and, &env), a && b);
             prop_assert_eq!(m.eval(or, &env), a || b);
             prop_assert_eq!(m.eval(xor, &env), a ^ b);
+            prop_assert_eq!(m.eval(diff, &env), a && !b);
             prop_assert_eq!(m.eval(not_f, &env), !a);
+        }
+    }
+
+    #[test]
+    fn prop_rename_across_the_order_matches_the_oracle(expr in arb_expr(3)) {
+        // x0 → x5, x1 → x4, x2 → x3 reverses the block: every node with a
+        // renamed child crosses the order and is spliced in with ite.
+        let (mut m, vars) = manager_with_vars(6);
+        let f = expr.build(&mut m, &vars[0..3]);
+        let map: Vec<(Var, Var)> = (0..3).map(|i| (vars[i], vars[5 - i])).collect();
+        let g = m.rename(f, &map);
+        for env in assignments(6) {
+            let read: Vec<bool> = (0..3).map(|i| env[5 - i]).collect();
+            prop_assert_eq!(m.eval(g, &env), expr.eval(&read));
+        }
+    }
+
+    #[test]
+    fn prop_swap_vars_under_any_order_matches_the_oracle(
+        expr in arb_expr(6),
+        seed in any::<u64>(),
+    ) {
+        // A random order mixes nodes rebuilt with mk and order crossings.
+        let (mut m, vars) = manager_with_vars(6);
+        let f = expr.build(&mut m, &vars);
+        m.reorder(&shuffled(&vars, seed)).expect("permutation");
+        let g = m.swap_vars(f, &vars[0..3], &vars[3..6]);
+        for env in assignments(6) {
+            let read: Vec<bool> = (0..6).map(|i| env[(i + 3) % 6]).collect();
+            prop_assert_eq!(m.eval(g, &env), expr.eval(&read));
         }
     }
 

@@ -101,6 +101,7 @@ const HELP: &[(&str, &str)] = &[
     ("smc_cache_lookups_total", "Computed-table lookups, by operation."),
     ("smc_cache_hits_total", "Computed-table hits, by operation."),
     ("smc_cache_evictions_total", "Computed-table evictions, by operation."),
+    ("smc_bdd_cache_capacity", "Computed-table capacity in entries."),
     ("smc_model_state_bits", "State variables (bits) of the model."),
     ("smc_model_fairness_constraints", "Fairness constraints of the model."),
     ("smc_model_reachable_states", "Reachable states (when computed)."),
@@ -488,6 +489,9 @@ impl Metrics {
             totals.2
         ));
         out.push_str(&op_lines);
+        if let Some(capacity) = self.gauge("smc_bdd_cache_capacity", &[]) {
+            out.push_str(&format!("cache capacity  : {} entries\n", fmt_f64(capacity)));
+        }
         // Unique-table health, present once a heap snapshot populated
         // the gauges (the manager's end-of-run record is authoritative).
         if let Some(load) = self.gauge("smc_bdd_table_load", &[]) {

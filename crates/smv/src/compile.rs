@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 
 use smc_bdd::{Bdd, BddManager, Budget, Var};
 use smc_kripke::{State, SymbolicModel};
-use smc_logic::Ctl;
+use smc_logic::{Ctl, MAX_SYNTAX_DEPTH};
 use smc_obs::{SpanId, SpanKind, StatsSnapshot, Telemetry};
 
 use crate::ast::{Assign, AssignKind, Expr, Module, Program, Section, Span, Spec};
@@ -340,6 +340,7 @@ fn compile_module_full(
         vars: &vars,
         var_index: &var_index,
         defines: &defines,
+        expanding: Vec::new(),
         cur,
         nxt,
         valid: Bdd::TRUE,
@@ -539,6 +540,8 @@ struct Ctx<'p> {
     vars: &'p [VarInfo],
     var_index: &'p HashMap<String, usize>,
     defines: &'p HashMap<String, Expr>,
+    /// The DEFINEs being expanded, outermost first.
+    expanding: Vec<&'p str>,
     cur: Vec<Var>,
     nxt: Vec<Var>,
     /// Conjunction of all domain-validity constraints; `case`
@@ -584,6 +587,12 @@ impl Ctx<'_> {
     /// `sets_ok` permits nondeterministic choice sets (assignment RHS
     /// positions only) — in a set position the returned "partition" is a
     /// may-relation rather than a function.
+    ///
+    /// `depth` is `expr`'s level in the expression with its DEFINEs
+    /// expanded (the root is level 1, and a DEFINE's name is one level
+    /// above its body). The parser bounds the height of what it reads by
+    /// [`MAX_SYNTAX_DEPTH`]; expansion can stack bodies deeper, so the
+    /// same bound is enforced here.
     fn eval(
         &mut self,
         expr: &Expr,
@@ -591,8 +600,10 @@ impl Ctx<'_> {
         sets_ok: bool,
         depth: usize,
     ) -> Result<ValueMap, SmvError> {
-        if depth > 64 {
-            return Err(SmvError::semantic("macro recursion too deep"));
+        if depth > MAX_SYNTAX_DEPTH {
+            return Err(SmvError::semantic(format!(
+                "expression nested deeper than {MAX_SYNTAX_DEPTH} levels once DEFINEs are expanded"
+            )));
         }
         match expr {
             Expr::Bool(b) => Ok(vec![(Value::Bool(*b), Bdd::TRUE)]),
@@ -601,9 +612,15 @@ impl Ctx<'_> {
                 if let Some(&i) = self.var_index.get(name) {
                     return Ok(self.var_map(i, Rail::Cur));
                 }
-                if let Some(def) = self.defines.get(name) {
-                    let def = def.clone();
-                    return self.eval(&def, allow_next, sets_ok, depth + 1);
+                let defines = self.defines;
+                if let Some((name, def)) = defines.get_key_value(name) {
+                    if self.expanding.contains(&name.as_str()) {
+                        return Err(SmvError::semantic(format!("DEFINE {name} expands to itself")));
+                    }
+                    self.expanding.push(name);
+                    let expanded = self.eval(def, allow_next, sets_ok, depth + 1);
+                    self.expanding.pop();
+                    return expanded;
                 }
                 // Enumeration symbol?
                 if self.vars.iter().any(|v| v.domain.contains(&Value::Sym(name.clone()))) {
@@ -705,6 +722,7 @@ impl Ctx<'_> {
         self.eval_bool_inner(expr, allow_next, 0)
     }
 
+    /// Evaluates a boolean operand one level below `depth`.
     fn eval_bool_inner(
         &mut self,
         expr: &Expr,
@@ -867,7 +885,7 @@ fn compile_assign(
             remaining = ctx.manager.and(remaining, ncond);
         }
     }
-    let map = ctx.eval(&assign.rhs, false, true, 0)?;
+    let map = ctx.eval(&assign.rhs, false, true, 1)?;
     let mut part = Bdd::FALSE;
     for (value, guard) in map {
         let idx = ctx.vars[var].domain.iter().position(|v| *v == value).ok_or_else(|| {

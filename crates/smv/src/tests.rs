@@ -549,3 +549,55 @@ fn spec_size_is_bounded_over_the_whole_formula() {
     }
     assert!(parse(&source(&nest(8))).is_ok());
 }
+
+#[test]
+fn expression_height_is_bounded_after_define_expansion() {
+    // Compiling at the limit recurses a few frames per level, which an
+    // unoptimised build cannot fit in a test thread's 2 MiB. Run on the
+    // 8 MiB stack `smc` gives its main and worker threads.
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(expanded_depth_checks)
+        .expect("spawn the depth checks")
+        .join()
+        .expect("depth checks pass");
+}
+
+/// A model whose SPEC atom `d{n}` expands through a chain of `n`
+/// DEFINEs, each two levels above the next: `d{n}` sits 2n + 2 levels
+/// above `x` once expanded.
+fn define_chain(n: usize) -> String {
+    let mut s = String::from("MODULE main\nVAR x : boolean;\nDEFINE d0 := x;\n");
+    for i in 1..=n {
+        s.push_str(&format!("DEFINE d{i} := d{} & x;\n", i - 1));
+    }
+    s + &format!("SPEC AG (d{n} -> x)\n")
+}
+
+fn expanded_depth_checks() {
+    use smc_logic::MAX_SYNTAX_DEPTH as MAX;
+    // Every operand adds a level, so a long conjunction is deep without
+    // a single DEFINE; 100 conjuncts are far inside the parser's bound.
+    let trans = vec!["next(x) != x"; 100].join(" & ");
+    let toggle =
+        format!("MODULE main\nVAR x : boolean;\nASSIGN init(x) := FALSE;\nTRANS {trans}\n");
+    assert!(compile(&toggle).is_ok());
+    // Expanded, d255 is 512 levels high: at the limit. d256 passes it.
+    assert_eq!(2 * 255 + 2, MAX);
+    assert!(compile(&define_chain(255)).is_ok());
+    match compile(&define_chain(256)) {
+        Err(SmvError::Semantic { message, .. }) => {
+            assert!(message.contains("nested deeper than 512 levels"), "{message}");
+            assert!(message.contains("DEFINE"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
+    // A DEFINE that expands itself says so, whatever the depth.
+    let cyclic = "MODULE main\nVAR x : boolean;\nDEFINE a := b; b := a;\nTRANS next(x) = a\n";
+    match compile(cyclic) {
+        Err(SmvError::Semantic { message, .. }) => {
+            assert_eq!(message, "DEFINE a expands to itself");
+        }
+        other => panic!("{other:?}"),
+    }
+}

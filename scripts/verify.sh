@@ -94,6 +94,23 @@ grep -q '"op":"drained","served":2,"rejected":0,"worst_exit":2' <<<"$out" \
 [ "$rc" -eq 2 ] || { echo "depth drill: smc check should exit 2, got $rc"; exit 1; }
 rm -f "$deep"
 
+echo "== deep-expression drill (a 100-conjunct TRANS checks) =="
+# Every operand of `&` adds a level of expression height; 100 conjuncts
+# are well inside the parser's 512 and must compile and check.
+deep="$(mktemp --suffix=.smv)"
+{
+    printf 'MODULE main\nVAR x : boolean;\nASSIGN init(x) := FALSE;\nTRANS '
+    for _ in $(seq 99); do printf 'next(x) != x & '; done
+    printf 'next(x) != x\nSPEC AG (x -> AX !x)\n'
+} > "$deep"
+./target/release/smc check "$deep" >/dev/null || { echo "deep TRANS: expected exit 0, got $?"; exit 1; }
+rm -f "$deep"
+
+echo "== computed-table smoke (a fresh manager starts at 4,096 entries) =="
+out=$(./target/release/smc check --stats models/mutex.smv) || { echo "check --stats failed"; exit 1; }
+grep -q '^cache capacity  : 4096 entries$' <<<"$out" \
+    || { echo "check --stats: expected a 4096-entry table: $out"; exit 1; }
+
 echo "== heap inspection smoke =="
 # The JSON report is one schema-versioned object; spot-check the stamp
 # and that the structural sections are present.

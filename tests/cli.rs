@@ -519,6 +519,45 @@ fn too_deep_syntax_is_a_coded_parse_error_not_a_stack_overflow() {
     std::fs::remove_file(path).ok();
 }
 
+/// A model whose SPEC atom `d{n}` expands through a chain of `n`
+/// DEFINEs, each two levels above the next.
+fn define_chain(n: usize) -> String {
+    let mut s = String::from("MODULE main\nVAR x : boolean;\nDEFINE d0 := x;\n");
+    for i in 1..=n {
+        s.push_str(&format!("DEFINE d{i} := d{} & x;\n", i - 1));
+    }
+    s + &format!("SPEC AG (d{n} -> x)\n")
+}
+
+#[test]
+fn deep_expressions_check_and_deep_define_expansions_are_coded_errors() {
+    // Every operand of `&` adds a level, so these are deep without a
+    // single DEFINE, yet well inside the parser's 512 levels.
+    let trans = vec!["next(x) != x"; 100].join(" & ");
+    let toggle = format!(
+        "MODULE main\nVAR x : boolean;\nASSIGN init(x) := FALSE;\nTRANS {trans}\n\
+         SPEC AG (x -> AX !x)\n"
+    );
+    let ring = smc::circuits::families::inverter_ring(30).to_smv() + "SPEC EF inv0\n";
+    for (name, source) in [("trans100", toggle), ("ring30", ring)] {
+        let path = write_temp(name, &source);
+        let out = smc().arg("check").arg(&path).output().expect("runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stdout.contains("SPEC 0: holds"), "{name}: {stdout}{stderr}");
+        assert_eq!(out.status.code(), Some(0), "{name}");
+        std::fs::remove_file(path).ok();
+    }
+    // Expanded, d256 is 514 levels high.
+    let path = write_temp("define_chain", &define_chain(256));
+    let out = smc().arg("check").arg(&path).output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "load error exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error[E002]"), "{stderr}");
+    assert!(stderr.contains("nested deeper than 512 levels once DEFINEs are expanded"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn iff_chains_past_the_size_bound_are_refused_in_time() {
     // A left-deep `<->` chain doubles at every link once desugared: 24

@@ -399,6 +399,33 @@ fn hostile_nesting_is_refused_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn define_expansion_past_the_depth_bound_is_an_input_error() {
+    // d256 sits 514 levels above `x` once its DEFINE chain is expanded.
+    let mut deep = String::from("MODULE main\nVAR x : boolean;\nDEFINE d0 := x;\n");
+    for i in 1..=256 {
+        deep.push_str(&format!("DEFINE d{i} := d{} & x;\n", i - 1));
+    }
+    deep.push_str("SPEC AG (d256 -> x)\n");
+    let (code, lines) = serve(
+        &["--jobs", "1"],
+        &[
+            format!(r#"{{"op":"check","id":"defines","source":"{}"}}"#, esc(&deep)),
+            format!(r#"{{"op":"check","id":"next","source":"{}"}}"#, esc(COUNTER)),
+        ],
+    );
+    assert_eq!(lines.len(), 3, "two answers + drained summary: {lines:?}");
+    assert!(lines[0].contains(r#""id":"defines""#), "{}", lines[0]);
+    assert!(lines[0].contains(r#""outcome":"input_error","exit_class":2"#), "{}", lines[0]);
+    assert!(
+        lines[0].contains("nested deeper than 512 levels once DEFINEs are expanded"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains(r#""outcome":"pass""#), "{}", lines[1]);
+    assert_eq!(code, 2);
+}
+
+#[test]
 fn iff_chains_past_the_size_bound_are_input_errors() {
     // A 24-link `<->` chain desugars to ~134M nodes, and an accepted
     // 14-link chain behind `x | …` chained on to ~2.7e8: refused at parse
