@@ -53,7 +53,7 @@ pub use coi::{plan_adhoc_coi, plan_coi, CoiPlan, SpecCoi};
 pub use dataflow::{frozen_constants, ConstVal, DepGraph};
 pub use diag::{Diagnostic, Report, Severity};
 
-use smc_bdd::{BddError, Budget};
+use smc_bdd::Budget;
 use smc_kripke::KripkeError;
 use smc_obs::{Event, SpanKind, StatsSnapshot, Telemetry};
 use smc_smv::{CompileOptions, SmvError};
@@ -189,9 +189,7 @@ pub fn smv_diag(e: &SmvError) -> Diagnostic {
 /// `Some(reason)` when the frontend error is really a governor trip.
 fn smv_trip(e: &SmvError) -> Option<String> {
     match e {
-        SmvError::Kripke(KripkeError::Bdd(BddError::ResourceExhausted(reason))) => {
-            Some(reason.to_string())
-        }
+        SmvError::Kripke(KripkeError::Exhausted { reason, .. }) => Some(reason.to_string()),
         _ => None,
     }
 }

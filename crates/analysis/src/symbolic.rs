@@ -18,7 +18,7 @@ pub(crate) struct Exhausted(pub String);
 /// Maps a model-layer error to either a governor trip or an `E003`
 /// diagnostic pushed into the report.
 fn model_err(e: KripkeError, report: &mut Report) -> Result<(), Exhausted> {
-    if let KripkeError::Bdd(BddError::ResourceExhausted(reason)) = &e {
+    if let KripkeError::Exhausted { reason, .. } = &e {
         return Err(Exhausted(reason.to_string()));
     }
     report.push(Diagnostic::error("E003", format!("model error: {e}"), None));

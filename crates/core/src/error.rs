@@ -4,8 +4,8 @@
 use std::error::Error;
 use std::fmt;
 
-use smc_bdd::{BddError, TripReason};
-use smc_kripke::KripkeError;
+use smc_bdd::TripReason;
+use smc_kripke::{KripkeError, ReachProgress};
 
 /// Which stage of the checking pipeline was running when a resource
 /// budget tripped.
@@ -82,6 +82,18 @@ impl fmt::Display for PartialProgress {
     }
 }
 
+impl From<ReachProgress> for PartialProgress {
+    fn from(p: ReachProgress) -> PartialProgress {
+        PartialProgress {
+            iterations: p.iterations,
+            live_nodes: p.live_nodes,
+            peak_nodes: p.peak_nodes,
+            created_nodes: p.created_nodes,
+            ..PartialProgress::default()
+        }
+    }
+}
+
 /// Errors reported by the symbolic model checker and witness generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckError {
@@ -155,13 +167,11 @@ impl From<KripkeError> for CheckError {
             KripkeError::UnknownAtom(name) => CheckError::UnknownAtom(name),
             // Budget trips surfacing through the model layer happen in
             // the reachability fixpoint (the only governed loop there).
-            KripkeError::Bdd(BddError::ResourceExhausted(reason)) => {
-                CheckError::ResourceExhausted {
-                    phase: Phase::Reachability,
-                    reason,
-                    partial: PartialProgress::default(),
-                }
-            }
+            KripkeError::Exhausted { reason, progress } => CheckError::ResourceExhausted {
+                phase: Phase::Reachability,
+                reason,
+                partial: progress.into(),
+            },
             other => CheckError::Kripke(other),
         }
     }

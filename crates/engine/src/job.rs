@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smc_bdd::{BddError, Budget, CancelToken};
+use smc_bdd::{Budget, CancelToken};
 use smc_checker::{CheckError, Checker, CycleStrategy, Phase};
 use smc_kripke::KripkeError;
 use smc_obs::{Event, EventCtx, FixKind, Metrics, Recorder, Sink, Telemetry};
@@ -312,13 +312,11 @@ impl Sink for ReachCounter {
 /// exit-3 class, everything else is an input diagnostic.
 fn compile_failure(e: SmvError) -> JobOutcome {
     match e {
-        SmvError::Kripke(KripkeError::Bdd(BddError::ResourceExhausted(reason))) => {
-            JobOutcome::Exhausted {
-                phase: Phase::Reachability.to_string(),
-                reason: reason.to_string(),
-                decided: Vec::new(),
-            }
-        }
+        SmvError::Kripke(KripkeError::Exhausted { reason, .. }) => JobOutcome::Exhausted {
+            phase: Phase::Reachability.to_string(),
+            reason: reason.to_string(),
+            decided: Vec::new(),
+        },
         other => JobOutcome::InputError { message: other.to_string() },
     }
 }

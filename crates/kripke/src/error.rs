@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use smc_bdd::BddError;
+use smc_bdd::{BddError, TripReason};
 
 /// Errors reported while building or querying Kripke structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,8 +20,19 @@ pub enum KripkeError {
     /// successor; CTL semantics require a total relation. Carries a
     /// textual rendering of one deadlocked state.
     Deadlock(String),
-    /// An error bubbled up from the BDD layer.
+    /// An error bubbled up from the BDD layer. Budget trips are
+    /// [`Exhausted`](Self::Exhausted) instead.
     Bdd(BddError),
+    /// A resource budget stopped the reachability fixpoint or the
+    /// totality check after it. The unfinished iteration was rolled back
+    /// and nothing was cached, so the query can be retried under a larger
+    /// budget.
+    Exhausted {
+        /// What tripped.
+        reason: TripReason,
+        /// How far the fixpoint had got.
+        progress: ReachProgress,
+    },
     /// The referenced atomic proposition is not declared in the model.
     UnknownAtom(String),
     /// Explicit enumeration exceeded the caller-supplied state bound.
@@ -44,6 +55,9 @@ impl fmt::Display for KripkeError {
                 write!(f, "transition relation is not total: state {state} has no successor")
             }
             KripkeError::Bdd(e) => write!(f, "bdd error: {e}"),
+            KripkeError::Exhausted { reason, .. } => {
+                write!(f, "bdd error: resource budget exhausted: {reason}")
+            }
             KripkeError::UnknownAtom(name) => {
                 write!(f, "unknown atomic proposition {name:?}")
             }
@@ -67,4 +81,19 @@ impl From<BddError> for KripkeError {
     fn from(e: BddError) -> KripkeError {
         KripkeError::Bdd(e)
     }
+}
+
+/// What a budget-stopped reachability fixpoint had achieved, with the
+/// manager's node counts after the rollback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReachProgress {
+    /// Completed iterations: chained sweeps when the model has event
+    /// guards, breadth-first iterations otherwise.
+    pub iterations: u64,
+    /// Live nodes in the manager.
+    pub live_nodes: usize,
+    /// High-water mark of the node pool.
+    pub peak_nodes: usize,
+    /// Total nodes ever created by the manager.
+    pub created_nodes: u64,
 }

@@ -48,7 +48,7 @@ mod state;
 mod symbolic;
 
 pub use builder::{StateVarId, SymbolicModelBuilder};
-pub use error::KripkeError;
+pub use error::{KripkeError, ReachProgress};
 pub use explicit::ExplicitModel;
 pub use scc::{condensation, tarjan_scc, Condensation};
 pub use state::State;

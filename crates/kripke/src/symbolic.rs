@@ -2,9 +2,9 @@
 
 use std::collections::HashMap;
 
-use smc_bdd::{Bdd, BddManager, Var};
+use smc_bdd::{Bdd, BddError, BddManager, Var};
 
-use crate::error::KripkeError;
+use crate::error::{KripkeError, ReachProgress};
 use crate::explicit::ExplicitModel;
 use crate::state::State;
 
@@ -37,6 +37,48 @@ pub struct SymbolicModel {
     /// Conjunctive partition of `trans` with the early-quantification
     /// schedules for image/preimage (None = monolithic relation).
     partition: Option<Partition>,
+    /// Disjunctive event split of `trans` for chained reachability.
+    events: Events,
+}
+
+/// The event split of the transition relation that
+/// [`reachable`](SymbolicModel::reachable) chains over. Guards are
+/// analysed into event-local parts at the first fixpoint that needs them.
+#[derive(Debug, Default)]
+enum Events {
+    /// No guards: reachability is breadth-first over the whole relation.
+    #[default]
+    None,
+    /// Installed guards, not yet analysed.
+    Guards(Vec<Bdd>),
+    /// The analysed parts, in guard order.
+    Parts(Vec<EventPart>),
+}
+
+/// One event `trans ∧ guard`, reduced to the bits `W` it can change.
+#[derive(Debug)]
+struct EventPart {
+    /// `∃(next bits outside W). trans ∧ guard`: mentions no next-state
+    /// bit outside `W`.
+    rel: Bdd,
+    /// The current-state bits of `W`, quantified by the image.
+    cube: Bdd,
+    /// `(x_i′, x_i)` for every `i ∈ W`: moves the image back onto the
+    /// current rail.
+    rename: Vec<(Var, Var)>,
+}
+
+impl Events {
+    /// Every BDD the split holds: the guards until they are analysed,
+    /// then each part's relation and cube. All of them stay protected
+    /// while installed.
+    fn roots(&self) -> Vec<Bdd> {
+        match self {
+            Events::None => Vec::new(),
+            Events::Guards(guards) => guards.clone(),
+            Events::Parts(parts) => parts.iter().flat_map(|p| [p.rel, p.cube]).collect(),
+        }
+    }
 }
 
 /// A conjunctive transition-relation partition `N = ⋀ parts`, with the
@@ -128,6 +170,7 @@ impl SymbolicModel {
             name_index,
             reachable: None,
             partition: None,
+            events: Events::None,
         })
     }
 
@@ -187,6 +230,45 @@ impl SymbolicModel {
     /// Is a conjunctive partition installed?
     pub fn is_partitioned(&self) -> bool {
         self.partition.is_some()
+    }
+
+    /// Installs event guards for chained reachability: each guard `g`
+    /// names the event `trans ∧ g`, a disjunctive part of the relation
+    /// (Burch, Clarke and Long, 1991). With guards installed,
+    /// [`reachable`](Self::reachable) applies the events one after
+    /// another to the growing set instead of taking breadth-first
+    /// images (chaining). Nothing else uses them: images, preimages and
+    /// every other fixpoint keep the whole relation.
+    ///
+    /// Contract: every transition that leaves a reachable state and
+    /// changes some bit satisfies some guard. Transitions that change
+    /// nothing may be left out, and guards may overlap.
+    ///
+    /// The guards are analysed at the first reachability fixpoint, not
+    /// here: for each, the bits `W` that `trans ∧ guard` can change, and
+    /// the relation with the other next-state bits quantified away. A
+    /// model whose reachable set is installed with
+    /// [`set_reachable`](Self::set_reachable) never pays for it. The
+    /// guards, and later their parts, stay protected while installed.
+    /// Pass an empty vector to go back to breadth-first search; replaced
+    /// or removed guards and parts are released to the garbage
+    /// collector.
+    pub fn set_events(&mut self, guards: Vec<Bdd>) {
+        for b in std::mem::take(&mut self.events).roots() {
+            self.manager.unprotect(b);
+        }
+        if guards.is_empty() {
+            return;
+        }
+        for &g in &guards {
+            self.manager.protect(g);
+        }
+        self.events = Events::Guards(guards);
+    }
+
+    /// Are event guards installed, so that reachability is chained?
+    pub fn has_events(&self) -> bool {
+        !matches!(self.events, Events::None)
     }
 
     /// The BDD manager holding every set and relation of this model.
@@ -386,13 +468,20 @@ impl SymbolicModel {
     /// The reachable state set (least fixpoint of `λZ. S₀ ∨ Img(Z)`),
     /// cached after the first call.
     ///
+    /// Breadth-first by default. With [event guards](Self::set_events)
+    /// installed, each iteration is instead one chained sweep: every
+    /// event in turn adds its successors of the set grown so far
+    /// (`S := S ∨ Img_e(S)`), in installed order on odd sweeps and in
+    /// reverse on even ones (Roig, Cortadella and Pastor, 1995). Both
+    /// reach the same least fixpoint; chaining takes fewer and cheaper
+    /// steps. Iteration counts (telemetry, the budget's iteration cap)
+    /// then count sweeps.
+    ///
     /// # Errors
     ///
-    /// [`KripkeError::Bdd`] wrapping
-    /// [`BddError::ResourceExhausted`](smc_bdd::BddError::ResourceExhausted)
-    /// if the manager's budget trips during the fixpoint; the partial
-    /// iteration is rolled back and nothing is cached, so the call can be
-    /// retried (e.g. under a larger budget).
+    /// [`KripkeError::Exhausted`] if the manager's budget trips during
+    /// the fixpoint; the partial iteration is rolled back and nothing is
+    /// cached, so the call can be retried (e.g. under a larger budget).
     pub fn reachable(&mut self) -> Result<Bdd, KripkeError> {
         if let Some(r) = self.reachable {
             return Ok(r);
@@ -403,7 +492,7 @@ impl SymbolicModel {
         } else {
             smc_obs::SpanId::NONE
         };
-        let result = self.reach_fixpoint(&tele);
+        let result = self.analyse_events().and_then(|()| self.reach_fixpoint(&tele));
         if tele.enabled() {
             tele.span_end(span, self.manager.stats_snapshot());
         }
@@ -413,20 +502,76 @@ impl SymbolicModel {
         Ok(reach)
     }
 
-    /// The frontier loop of [`reachable`](Self::reachable), separated so
-    /// the telemetry span closes on the trip path too.
+    /// Turns installed guards into event-local parts. For guard `g`, the
+    /// event is `E = trans ∧ g` and `W` the bits it can change
+    /// (`E ∧ (x_i ⊕ x_i′) ≠ ∅`). An event with empty `W` only stutters
+    /// and is dropped; otherwise its part keeps
+    /// `∃(next bits outside W). E` with the cube and renaming of `W`.
+    fn analyse_events(&mut self) -> Result<(), KripkeError> {
+        let Events::Guards(guards) = &self.events else {
+            return Ok(());
+        };
+        let guards = guards.clone();
+        let m = &mut self.manager;
+        let flips: Vec<Bdd> = (0..self.cur.len())
+            .map(|i| {
+                let (x, x2) = (m.var(self.cur[i]), m.var(self.nxt[i]));
+                m.xor(x, x2)
+            })
+            .collect();
+        let mut parts = Vec::with_capacity(guards.len());
+        for &guard in &guards {
+            let event = m.and(self.trans, guard);
+            let (changed, kept): (Vec<usize>, Vec<usize>) =
+                (0..self.cur.len()).partition(|&i| m.intersects(event, flips[i]));
+            if changed.is_empty() {
+                continue;
+            }
+            let frame: Vec<Var> = kept.iter().map(|&i| self.nxt[i]).collect();
+            let frame = m.cube(&frame);
+            let rel = m.exists(event, frame);
+            let cube: Vec<Var> = changed.iter().map(|&i| self.cur[i]).collect();
+            let cube = m.cube(&cube);
+            let rename = changed.iter().map(|&i| (self.nxt[i], self.cur[i])).collect();
+            parts.push(EventPart { rel, cube, rename });
+        }
+        // A safe point before protecting: once committed, a later trip
+        // cannot roll the parts back under their handles. On a trip the
+        // guards stay installed and a retry analyses them again.
+        self.manager.check_budget().map_err(|e| self.exhausted(e, 0))?;
+        self.set_events(Vec::new());
+        self.events = Events::Parts(parts);
+        for b in self.events.roots() {
+            self.manager.protect(b);
+        }
+        Ok(())
+    }
+
+    /// The loop of [`reachable`](Self::reachable), separated so the
+    /// telemetry span closes on the trip path too. Each iteration is a
+    /// breadth-first image of the frontier, or one chained sweep when
+    /// events are installed; either way `frontier` is what it added.
     fn reach_fixpoint(&mut self, tele: &smc_obs::Telemetry) -> Result<Bdd, KripkeError> {
         let mut tracker =
             tele.enabled().then(|| smc_obs::IterTracker::new(self.manager.stats_snapshot()));
+        let chained = matches!(self.events, Events::Parts(_));
         let mut frontier = self.init;
         let mut reach = self.init;
         let mut iters = 0u64;
         while !frontier.is_false() {
-            let img = self.image(frontier);
-            frontier = self.manager.diff(img, reach);
-            reach = self.manager.or(reach, frontier);
+            if chained {
+                let grown = self.sweep(reach, iters % 2 == 1);
+                frontier = self.manager.diff(grown, reach);
+                reach = grown;
+            } else {
+                let img = self.image(frontier);
+                frontier = self.manager.diff(img, reach);
+                reach = self.manager.or(reach, frontier);
+            }
             iters += 1;
-            self.manager.checkpoint(iters, &[frontier, reach])?;
+            self.manager
+                .checkpoint(iters, &[frontier, reach])
+                .map_err(|e| self.exhausted(e, iters - 1))?;
             if let Some(tr) = tracker.as_mut() {
                 tele.emit(tr.event(
                     smc_obs::FixKind::Reach,
@@ -443,8 +588,44 @@ impl SymbolicModel {
                 }
             }
         }
-        self.manager.check_budget()?;
+        self.manager.check_budget().map_err(|e| self.exhausted(e, iters))?;
         Ok(reach)
+    }
+
+    /// One chained sweep: applies every event part in turn to the set as
+    /// it grows, in reverse order when `reversed`. An event's image
+    /// quantifies and renames only the bits it changes.
+    fn sweep(&mut self, mut reach: Bdd, reversed: bool) -> Bdd {
+        let SymbolicModel { manager, events: Events::Parts(parts), .. } = self else {
+            unreachable!("sweeps run over analysed events");
+        };
+        let mut step = |part: &EventPart| {
+            let moved = manager.and_exists(reach, part.rel, part.cube);
+            let img = manager.rename(moved, &part.rename);
+            reach = manager.or(reach, img);
+        };
+        if reversed {
+            parts.iter().rev().for_each(&mut step);
+        } else {
+            parts.iter().for_each(&mut step);
+        }
+        reach
+    }
+
+    /// The error for a budget trip in the reachability layer, carrying
+    /// the `iterations` completed and the manager's node counts.
+    fn exhausted(&self, e: BddError, iterations: u64) -> KripkeError {
+        let BddError::ResourceExhausted(reason) = e else {
+            return KripkeError::Bdd(e);
+        };
+        let stats = self.manager.stats();
+        let progress = ReachProgress {
+            iterations,
+            live_nodes: stats.live_nodes,
+            peak_nodes: stats.peak_nodes,
+            created_nodes: stats.created_nodes,
+        };
+        KripkeError::Exhausted { reason, progress }
     }
 
     /// Drops the cached reachable set (releasing its protection) so the
@@ -567,13 +748,13 @@ impl SymbolicModel {
     ///
     /// # Errors
     ///
-    /// [`KripkeError::Bdd`] if the resource budget trips during the
-    /// reachability fixpoint.
+    /// [`KripkeError::Exhausted`] if the resource budget trips during
+    /// the reachability fixpoint or the successor check.
     pub fn deadlocked(&mut self) -> Result<Bdd, KripkeError> {
         let reach = self.reachable()?;
         let has_succ = self.manager.exists(self.trans, self.nxt_cube);
         let dead = self.manager.diff(reach, has_succ);
-        self.manager.check_budget()?;
+        self.manager.check_budget().map_err(|e| self.exhausted(e, 0))?;
         Ok(dead)
     }
 

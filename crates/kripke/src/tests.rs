@@ -272,6 +272,90 @@ fn removing_a_partition_releases_it_to_the_collector() {
     m.manager().validate().expect("no dangling protected roots");
 }
 
+/// A free three-bit selector `s` schedules four data bits: value
+/// `v < 4` toggles `d_v` when `v = 0` or `d_{v-1}` is set, the other
+/// values stutter. Returns the model and one guard per selector value.
+fn scheduled_register() -> (SymbolicModel, Vec<Bdd>) {
+    let mut b = SymbolicModelBuilder::new();
+    let sel: Vec<_> = (0..3).map(|i| b.bool_var(&format!("s{i}")).expect("fresh")).collect();
+    let data: Vec<_> = (0..4).map(|i| b.bool_var(&format!("d{i}")).expect("fresh")).collect();
+    b.init_zero();
+    let s: Vec<Bdd> = sel.iter().map(|&id| b.cur(id)).collect();
+    let d: Vec<Bdd> = data.iter().map(|&id| b.cur(id)).collect();
+    let d2: Vec<Bdd> = data.iter().map(|&id| b.next(id)).collect();
+    let m = b.manager_mut();
+    let mut guards = Vec::new();
+    for v in 0..8 {
+        let mut guard = Bdd::TRUE;
+        for (k, &bit) in s.iter().enumerate() {
+            let lit = if v >> k & 1 == 1 { bit } else { m.not(bit) };
+            guard = m.and(guard, lit);
+        }
+        guards.push(guard);
+    }
+    let mut trans = Bdd::TRUE;
+    for v in 0..4 {
+        let enabled = if v == 0 { guards[0] } else { m.and(guards[v], d[v - 1]) };
+        let target = m.xor(d[v], enabled);
+        let step = m.iff(d2[v], target);
+        trans = m.and(trans, step);
+    }
+    b.constrain_trans(trans);
+    (b.build().expect("scheduled register builds"), guards)
+}
+
+/// The reachable set of `m`, computed again.
+fn fresh_reach(m: &mut SymbolicModel) -> Bdd {
+    m.forget_reachable();
+    m.reachable().expect("reachable")
+}
+
+#[test]
+fn event_parts_survive_garbage_collection() {
+    let (mut m, guards) = scheduled_register();
+    let breadth_first = fresh_reach(&mut m);
+    let expected = m.states_in(breadth_first, 256).expect("small");
+    assert_eq!(expected.len(), 8 * 16);
+    m.set_events(guards);
+    // Only the protection keeps the guards before the analysis, and the
+    // parts after it.
+    m.manager_mut().gc(&[]);
+    let chained = fresh_reach(&mut m);
+    assert_eq!(m.states_in(chained, 256).expect("small"), expected, "over collected guards");
+    m.manager_mut().gc(&[]);
+    let chained = fresh_reach(&mut m);
+    assert_eq!(m.states_in(chained, 256).expect("small"), expected, "over collected parts");
+    // Under a node limit the ladder collects at every sweep's
+    // checkpoint, with the parts rooted by their protection alone.
+    m.forget_reachable();
+    m.manager_mut().gc(&[]);
+    let floor = m.manager().num_nodes();
+    m.manager_mut().set_budget(smc_bdd::Budget::new().with_node_limit(floor + 8));
+    let governed = m.reachable().expect("reachable");
+    assert!(m.manager().stats().gc_runs > 2, "the ladder collected");
+    assert_eq!(m.states_in(governed, 256).expect("small"), expected, "under the ladder");
+    m.manager().validate().expect("no dangling protected roots");
+}
+
+#[test]
+fn replacing_events_releases_their_roots() {
+    let (mut m, guards) = scheduled_register();
+    m.set_events(guards);
+    assert!(m.has_events());
+    m.manager_mut().gc(&[]);
+    let with_guards = m.manager().num_nodes();
+    fresh_reach(&mut m);
+    m.manager_mut().gc(&[]);
+    let with_parts = m.manager().num_nodes();
+    m.set_events(Vec::new());
+    assert!(!m.has_events());
+    m.manager_mut().gc(&[]);
+    let released = m.manager().num_nodes();
+    assert!(released < with_parts, "the analysed parts are still protected");
+    assert!(released <= with_guards, "the guards are still protected");
+    m.manager().validate().expect("no dangling protected roots");
+}
+
 #[test]
 fn partition_with_free_variables() {
     // One assigned bit, one free bit: the free bit has no part at all.

@@ -341,6 +341,8 @@ fn compile_module_full(
         var_index: &var_index,
         defines: &defines,
         expanding: Vec::new(),
+        macros: HashMap::new(),
+        deepest: 0,
         cur,
         nxt,
         valid: Bdd::TRUE,
@@ -433,6 +435,7 @@ fn compile_module_full(
         compiled_specs.push(CompiledSpec { source: spec.clone(), formula, span: *spec_span });
     }
 
+    let guards = event_guards(&mut ctx, &inputs, bit_count);
     // Register per-variable boolean atoms so boolean vars are usable in
     // externally parsed CTL directly (single-bit vars already carry
     // their own name as a state bit).
@@ -449,6 +452,7 @@ fn compile_module_full(
     let mut model =
         SymbolicModel::assemble(manager, names, cur, nxt, init, trans, fairness, labels)?;
     model.set_partition(parts);
+    model.set_events(guards);
     let mut compiled =
         CompiledModel { model, specs: compiled_specs, fairness_spans, branches, vars };
     // The totality check runs the reachability fixpoint — by far the
@@ -510,6 +514,37 @@ fn free_inputs(
     input
 }
 
+/// The event guards for chained reachability: one current-state guard
+/// per joint value of the free inputs, in declaration and domain order.
+/// Every valid state has exactly one joint value, so the guards split
+/// the steps leaving reachable states exactly into events (on a
+/// `Netlist::to_smv` export, one per `sel` value: the firing of one
+/// gate). None unless there are free inputs with at most `limit` joint
+/// values (the model's state bits), which bounds the number of events
+/// on hostile input.
+fn event_guards(ctx: &mut Ctx<'_>, inputs: &[bool], limit: usize) -> Vec<Bdd> {
+    let free: Vec<usize> = (0..inputs.len()).filter(|&i| inputs[i]).collect();
+    let mut joint = 1usize;
+    for &i in &free {
+        joint = joint.saturating_mul(ctx.vars[i].domain.len());
+    }
+    if free.is_empty() || joint > limit {
+        return Vec::new();
+    }
+    let mut guards = vec![Bdd::TRUE];
+    for &i in &free {
+        let mut next = Vec::with_capacity(guards.len() * ctx.vars[i].domain.len());
+        for &g in &guards {
+            for idx in 0..ctx.vars[i].domain.len() {
+                let value = ctx.encode(i, idx, Rail::Cur);
+                next.push(ctx.manager.and(g, value));
+            }
+        }
+        guards = next;
+    }
+    guards
+}
+
 /// The most values a ranged variable may take. The compiler lists every
 /// value of a domain before it allocates bits, so a wider range would
 /// exhaust memory (or overflow the length) before any budget could trip.
@@ -542,6 +577,14 @@ struct Ctx<'p> {
     defines: &'p HashMap<String, Expr>,
     /// The DEFINEs being expanded, outermost first.
     expanding: Vec<&'p str>,
+    /// Each DEFINE's value map, per evaluation context that can change
+    /// the result or its errors (`allow_next`, `sets_ok`), with the
+    /// height of its expansion (the name's own level included). A
+    /// macro body evaluates to the same map at every use, so each is
+    /// evaluated once; the height keeps the depth bound exact.
+    macros: HashMap<(&'p str, bool, bool), (ValueMap, usize)>,
+    /// The deepest level the evaluation in progress has reached.
+    deepest: usize,
     cur: Vec<Var>,
     nxt: Vec<Var>,
     /// Conjunction of all domain-validity constraints; `case`
@@ -601,10 +644,9 @@ impl Ctx<'_> {
         depth: usize,
     ) -> Result<ValueMap, SmvError> {
         if depth > MAX_SYNTAX_DEPTH {
-            return Err(SmvError::semantic(format!(
-                "expression nested deeper than {MAX_SYNTAX_DEPTH} levels once DEFINEs are expanded"
-            )));
+            return Err(too_deep());
         }
+        self.deepest = self.deepest.max(depth);
         match expr {
             Expr::Bool(b) => Ok(vec![(Value::Bool(*b), Bdd::TRUE)]),
             Expr::Int(i) => Ok(vec![(Value::Int(*i), Bdd::TRUE)]),
@@ -617,10 +659,24 @@ impl Ctx<'_> {
                     if self.expanding.contains(&name.as_str()) {
                         return Err(SmvError::semantic(format!("DEFINE {name} expands to itself")));
                     }
+                    let key = (name.as_str(), allow_next, sets_ok);
+                    if let Some((map, height)) = self.macros.get(&key) {
+                        let bottom = depth + height - 1;
+                        if bottom > MAX_SYNTAX_DEPTH {
+                            return Err(too_deep());
+                        }
+                        self.deepest = self.deepest.max(bottom);
+                        return Ok(map.clone());
+                    }
                     self.expanding.push(name);
+                    let outer = std::mem::replace(&mut self.deepest, depth);
                     let expanded = self.eval(def, allow_next, sets_ok, depth + 1);
+                    let bottom = self.deepest;
+                    self.deepest = outer.max(bottom);
                     self.expanding.pop();
-                    return expanded;
+                    let map = expanded?;
+                    self.macros.insert(key, (map.clone(), bottom - depth + 1));
+                    return Ok(map);
                 }
                 // Enumeration symbol?
                 if self.vars.iter().any(|v| v.domain.contains(&Value::Sym(name.clone()))) {
@@ -825,6 +881,12 @@ impl Ctx<'_> {
         }
         Ok(out)
     }
+}
+
+fn too_deep() -> SmvError {
+    SmvError::semantic(format!(
+        "expression nested deeper than {MAX_SYNTAX_DEPTH} levels once DEFINEs are expanded"
+    ))
 }
 
 fn bool_map(t: Bdd, f: Bdd) -> ValueMap {

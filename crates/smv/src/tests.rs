@@ -592,11 +592,58 @@ fn expanded_depth_checks() {
         }
         other => panic!("{other:?}"),
     }
+    // A macro evaluated near the root and then used deeper is a memo
+    // hit, and the hit refuses what its expansion would: d254 is 510
+    // levels high, so it may sit at most 3 levels down.
+    let base = define_chain(254);
+    assert!(compile(&format!("{base}INIT d254\nINIT ((d254 & x) & x)\n")).is_ok());
+    match compile(&format!("{base}INIT d254\nINIT (((d254 & x) & x) & x)\n")) {
+        Err(SmvError::Semantic { message, .. }) => {
+            assert!(message.contains("nested deeper than 512 levels"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
     // A DEFINE that expands itself says so, whatever the depth.
     let cyclic = "MODULE main\nVAR x : boolean;\nDEFINE a := b; b := a;\nTRANS next(x) = a\n";
     match compile(cyclic) {
         Err(SmvError::Semantic { message, .. }) => {
             assert_eq!(message, "DEFINE a expands to itself");
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+/// A chain of `n` DEFINEs in which every link uses the previous one
+/// twice: expanded, `d{n}` is `2^n` copies of `x`.
+fn doubling_chain(n: usize) -> String {
+    let mut s = String::from("MODULE main\nVAR x : boolean; y : boolean;\nDEFINE d0 := x;\n");
+    for i in 1..=n {
+        s.push_str(&format!("DEFINE d{i} := (d{p} | y) & (d{p} | x);\n", p = i - 1));
+    }
+    s + &format!("SPEC AG (d{n} <-> x)\n")
+}
+
+#[test]
+fn each_define_body_is_evaluated_once_per_context() {
+    let lookups = |n: usize| {
+        let compiled = compile(&doubling_chain(n)).expect("compiles");
+        compiled.model.manager().stats().cache_lookups
+    };
+    let (short, long) = (lookups(12), lookups(24));
+    assert!(long < 4 * short, "{short} lookups at 12 links, {long} at 24");
+    // The context that can change a macro's errors is part of its key: a
+    // body that was fine in a TRANS or an ASSIGN is still refused where
+    // `next` or a choice set is not allowed.
+    let nexts = "MODULE main\nVAR x : boolean;\nDEFINE h := next(x) <-> x;\nTRANS h\nINIT h\n";
+    match compile(nexts) {
+        Err(SmvError::Semantic { message, .. }) => assert!(message.contains("next"), "{message}"),
+        other => panic!("{other:?}"),
+    }
+    let sets = "MODULE main\nVAR x : boolean;\nDEFINE c := {TRUE, FALSE};\n\
+                ASSIGN next(x) := c;\nINIT c\n";
+    match compile(sets) {
+        Err(SmvError::Semantic { message, .. }) => {
+            assert!(message.contains("choice sets"), "{message}");
         }
         other => panic!("{other:?}"),
     }

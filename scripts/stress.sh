@@ -5,16 +5,16 @@
 #      kernel (transactional rollback, one-shot triggers, cache wipes),
 #      fault recovery across every public Checker entry point, and the
 #      budgeted CLI paths.
-#   2. A deadline-bounded run of a large (4-user) arbiter through the
+#   2. A deadline-bounded run of a large (5-user) arbiter through the
 #      CLI: a tight wall-clock/node budget must stop the run cleanly
 #      with exit code 3 and partial diagnostics — never a hang, panic,
 #      or corrupted state — while the unbudgeted paper-sized control run
 #      still completes with the documented verdicts.
-#   3. A concurrent-cancellation drill: a 4-job batch of that arbiter
-#      on 4 workers under an aggressive budget. Every job must trip its
-#      own governor (exit-3-style diagnostics per job), the fleet must
-#      report all jobs, and the process must exit 3 cleanly — no hang,
-#      no partial output, no poisoned worker.
+#   3. A concurrent-cancellation drill: a 4-job batch of a 4-user
+#      arbiter on 4 workers under an aggressive budget. Every job must
+#      trip its own governor (exit-3-style diagnostics per job), the
+#      fleet must report all jobs, and the process must exit 3 cleanly —
+#      no hang, no partial output, no poisoned worker.
 #   4. A serve drill: a 32-request burst (28 healthy counter8 checks
 #      interleaved with 4 oversized arbiter jobs under per-request
 #      quotas) against `smc serve --jobs 2`. Every request must get a
@@ -37,7 +37,9 @@ echo "== deadline-bounded large-arbiter run =="
 cargo build -q --release --bin smc --example export_smv
 TMP="$(mktemp "${TMPDIR:-/tmp}/smc_stress_arbiter.XXXXXX")"
 trap 'rm -f "$TMP"' EXIT
-./target/release/examples/export_smv 4 > "$TMP"
+# The 4-user arbiter finishes inside this budget since reachability is
+# chained, so the bounded run takes the 5-user one.
+./target/release/examples/export_smv 5 > "$TMP"
 
 # A few seconds of wall clock and a 200k-node cap on a model this size:
 # expect exit 3 (budget exhausted, diagnostics on stderr). Exit 1 is

@@ -106,6 +106,20 @@ deep="$(mktemp --suffix=.smv)"
 ./target/release/smc check "$deep" >/dev/null || { echo "deep TRANS: expected exit 0, got $?"; exit 1; }
 rm -f "$deep"
 
+echo "== chained-reachability drill (the exported arbiter(3) in 64 sweeps) =="
+# Every Netlist::to_smv export has a free scheduler input, so its
+# reachable set is chained over one event per `sel` value: 40 sweeps on
+# arbiter(3). Breadth-first search needs 96 iterations, so a silent
+# fallback to it trips the iteration cap and exits 3.
+cargo build -q --release --example export_smv
+arb="$(mktemp --suffix=.smv)"
+./target/release/examples/export_smv 3 > "$arb"
+out=$(./target/release/smc reach --max-iters 64 "$arb") && rc=0 || rc=$?
+[ "$rc" -eq 0 ] || { echo "chained drill: expected exit 0, got $rc: $out"; exit 1; }
+grep -q '^reachable states: 11010048$' <<<"$out" \
+    || { echo "chained drill: wrong reachable count: $out"; exit 1; }
+rm -f "$arb"
+
 echo "== computed-table smoke (a fresh manager starts at 4,096 entries) =="
 out=$(./target/release/smc check --stats models/mutex.smv) || { echo "check --stats failed"; exit 1; }
 grep -q '^cache capacity  : 4096 entries$' <<<"$out" \

@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use smc::analysis::{analyze, AnalysisOptions, Report};
-use smc::bdd::{BddError, BddManager, Budget};
+use smc::bdd::{BddManager, Budget};
 use smc::bench::observatory::{self, BenchConfig};
 use smc::checker::{CheckError, Checker, CycleStrategy, PartialProgress, Phase, TripReason};
 use smc::kripke::{KripkeError, SymbolicModel};
@@ -489,8 +489,8 @@ fn load_governed(
     let source = std::fs::read_to_string(path)
         .map_err(|e| LoadFailure::Other(format!("cannot read {path:?}: {e}").into()))?;
     smc::smv::compile_with(&source, budget, tele).map_err(|e| match e {
-        SmvError::Kripke(KripkeError::Bdd(BddError::ResourceExhausted(reason))) => {
-            LoadFailure::Exhausted(Phase::Reachability, reason, PartialProgress::default())
+        SmvError::Kripke(KripkeError::Exhausted { reason, progress }) => {
+            LoadFailure::Exhausted(Phase::Reachability, reason, progress.into())
         }
         other => {
             let mut report = Report::new();

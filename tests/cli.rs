@@ -230,6 +230,50 @@ fn gc_under_a_node_limit_keeps_an_exported_circuit_trace_identical() {
 }
 
 #[test]
+fn gc_under_a_node_limit_keeps_chained_reachability_and_the_trace() {
+    // The exported arbiter's reachable set is chained over one event per
+    // `sel` value. At this limit the ladder collects at sweep
+    // checkpoints, with the event parts rooted only by their protection,
+    // and never sifts: the output is the unbudgeted one.
+    let mut source = smc::circuits::arbiter::arbiter(2).netlist.to_smv();
+    source.push_str("SPEC AG !(meo1 & meo2)\nSPEC AG (tr1 -> AF ta1)\nSPEC AG (ur2 -> AF ua2)\n");
+    let path = write_temp("gc_events", &source);
+    let free = smc().args(["check", "--trace"]).arg(&path).output().expect("runs");
+    let governed = smc()
+        .args(["check", "--trace", "--profile", "--node-limit", "12000"])
+        .arg(&path)
+        .output()
+        .expect("runs");
+    assert_eq!(free.status.code(), Some(1));
+    assert_eq!(governed.status.code(), Some(1));
+    let governed = String::from_utf8_lossy(&governed.stdout);
+    let (verdicts, profile) = governed.split_once("-- profile report").expect("profile");
+    assert_eq!(verdicts, String::from_utf8_lossy(&free.stdout));
+    let gc = profile.lines().find(|l| l.starts_with("gc: ")).expect("gc line");
+    assert!(!gc.starts_with("gc: 0 runs"), "the limit must force a collection: {gc}");
+    assert!(gc.contains("ladder: gc; trips: none"), "collect only: {gc}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_reachability_trip_reports_the_sweeps_and_nodes_it_got_to() {
+    let path = write_temp("reach_trip", &smc::circuits::arbiter::arbiter(2).netlist.to_smv());
+    let out = smc().args(["reach", "--max-iters", "3"]).arg(&path).output().expect("runs");
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("fixpoint iteration 4 exceeds the cap of 3"), "{stderr}");
+    let partial =
+        stderr.lines().find_map(|l| l.strip_prefix("partial progress: ")).expect("{stderr}");
+    assert!(partial.starts_with("3 iterations, "), "{partial}");
+    // "…; L live / P peak nodes, C created"
+    let counts = partial.split_once("; ").expect("counts").1;
+    let numbers: Vec<u64> = counts.split(' ').filter_map(|w| w.parse().ok()).collect();
+    assert_eq!(numbers.len(), 3, "{counts}");
+    assert!(numbers.iter().all(|&n| n > 0), "{counts}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn iteration_cap_exhaustion_exits_3() {
     let path = write_temp("budget_iters", TOGGLE);
     let out = smc().arg("reach").arg("--max-iters").arg("1").arg(&path).output().expect("runs");
@@ -555,6 +599,22 @@ fn deep_expressions_check_and_deep_define_expansions_are_coded_errors() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error[E002]"), "{stderr}");
     assert!(stderr.contains("nested deeper than 512 levels once DEFINEs are expanded"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn define_chains_that_use_each_link_twice_check() {
+    // Every link uses the previous one twice: expanded, the chain would
+    // be 2^40 evaluations.
+    let mut source = String::from("MODULE main\nVAR x : boolean; y : boolean;\nDEFINE d0 := x;\n");
+    for i in 1..=40 {
+        source += &format!("DEFINE d{i} := (d{p} | y) & (d{p} | x);\n", p = i - 1);
+    }
+    source += "SPEC AG (d40 <-> x)\n";
+    let path = write_temp("define_doubling", &source);
+    let out = smc().arg("check").arg(&path).output().expect("runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "SPEC 0: holds\n");
     std::fs::remove_file(path).ok();
 }
 

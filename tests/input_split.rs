@@ -1,6 +1,8 @@
 //! The two-part transition relation of SMV models with free inputs is
 //! exact: with `N = D_I ∧ R` installed, verdicts, traces and the image
-//! operators equal those of the monolithic relation.
+//! operators equal those of the monolithic relation. The event guards
+//! the inputs give are exact too: chained reachability over them finds
+//! the breadth-first reachable set.
 
 use proptest::TestRng;
 use smc::bdd::Bdd;
@@ -151,8 +153,103 @@ fn bundled_models_without_free_inputs_stay_monolithic() {
             // a free input by definition.
             let has_input = path.ends_with("lint_demo.smv");
             assert_eq!(compiled.model.is_partitioned(), has_input, "{}", path.display());
+            assert_eq!(compiled.model.has_events(), has_input, "{}", path.display());
             seen += 1;
         }
     }
     assert!(seen >= 6, "every bundled model was compiled");
+}
+
+/// The reachable set chained over the compiled model's event guards and,
+/// in the same manager, breadth-first after `set_events(vec![])`: the
+/// very same BDD.
+fn assert_chaining_is_exact(name: &str, source: &str) {
+    let opts = CompileOptions { allow_deadlock: true, ..CompileOptions::default() };
+    let mut compiled = compile_with_options(source, None, Default::default(), opts)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let model = &mut compiled.model;
+    assert!(model.has_events(), "{name}: a free input installs event guards");
+    model.forget_reachable();
+    let chained = model.reachable().expect("reachable");
+    model.forget_reachable();
+    model.set_events(Vec::new());
+    assert!(!model.has_events());
+    let breadth_first = model.reachable().expect("reachable");
+    assert_eq!(chained, breadth_first, "{name}: reachable sets differ");
+}
+
+#[test]
+fn chained_reachability_is_exact_on_exported_circuits_and_a_hand_written_model() {
+    assert_chaining_is_exact("scheduled", SCHEDULED);
+    for (name, source) in circuits() {
+        assert_chaining_is_exact(name, &source);
+    }
+    for n in [3, 6] {
+        assert_chaining_is_exact(&format!("ring{n}"), &families::inverter_ring(n).to_smv());
+        assert_chaining_is_exact(&format!("pipe{n}"), &families::muller_pipeline(n).to_smv());
+        assert_chaining_is_exact(&format!("cring{n}"), &families::c_element_ring(n).to_smv());
+    }
+    assert_chaining_is_exact("arbiter3", &arbiter(3).netlist.to_smv());
+}
+
+/// A random model driven by a free selector: a few booleans and one
+/// three-valued variable, each updated under some selector values by a
+/// random expression over the current state and holding otherwise.
+fn random_scheduled(rng: &mut TestRng) -> String {
+    let bools = 3 + rng.below(3) as usize;
+    let top = 1 + rng.below(bools as u64 + 1);
+    let atom = |rng: &mut TestRng| match rng.below(4) {
+        0 => format!("sel = {}", rng.below(top + 1)),
+        1 => format!("r = {}", rng.below(3)),
+        2 => format!("!b{}", rng.below(bools as u64)),
+        _ => format!("b{}", rng.below(bools as u64)),
+    };
+    let expr = |rng: &mut TestRng| {
+        let a = atom(rng);
+        match rng.below(3) {
+            0 => a,
+            1 => format!("({a} & {})", atom(rng)),
+            _ => format!("({a} | {})", atom(rng)),
+        }
+    };
+    let mut s = format!("MODULE main\nVAR\n  sel : 0..{top};\n  r : 0..2;\n");
+    for i in 0..bools {
+        s += &format!("  b{i} : boolean;\n");
+    }
+    s += "ASSIGN\n  init(r) := 0;\n";
+    for i in 0..bools {
+        let init = if rng.bool() { "TRUE" } else { "FALSE" };
+        s += &format!("  init(b{i}) := {init};\n  next(b{i}) := case\n");
+        for _ in 0..1 + rng.below(3) {
+            let value = expr(rng);
+            s += &format!("    sel = {} & {} : {value};\n", rng.below(top + 1), expr(rng));
+        }
+        s += &format!("    TRUE : b{i};\n  esac;\n");
+    }
+    let bump = expr(rng);
+    s += &format!(
+        "  next(r) := case\n    sel = {} & {bump} : (r + 1) mod 3;\n    TRUE : r;\n  esac;\n",
+        rng.below(top + 1)
+    );
+    s
+}
+
+#[test]
+fn chained_reachability_is_exact_on_random_scheduled_models() {
+    for case in 0..64 {
+        let mut rng = TestRng::for_case(case);
+        let source = random_scheduled(&mut rng);
+        assert_chaining_is_exact(&format!("case {case}:\n{source}"), &source);
+    }
+}
+
+#[test]
+fn free_inputs_with_more_joint_values_than_state_bits_install_no_guards() {
+    let events = |source: &str| compile(source).expect("compiles").model.has_events();
+    // Free booleans alone: four joint values, two state bits.
+    assert!(!events("MODULE main\nVAR a : boolean; b : boolean;\nSPEC EF a\n"));
+    // A free input wider than the state is not split either.
+    assert!(!events("MODULE main\nVAR i : 0..255; x : boolean;\nASSIGN next(x) := i = 3;\n"));
+    // Six values on six bits.
+    assert!(events(SCHEDULED));
 }
