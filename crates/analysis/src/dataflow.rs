@@ -1,5 +1,5 @@
-//! Model dataflow: the variable dependency graph and the constant
-//! propagation fixpoint.
+//! Model dataflow: the variable dependency graph, the constant
+//! propagation fixpoint, and the W021/W022 warnings built on them.
 //!
 //! Everything here is source-level, computed over the flattened AST —
 //! no BDDs are built. The [`DepGraph`] records, for every state
@@ -8,9 +8,8 @@
 //! of every `SPEC` and `FAIRNESS` constraint. Raw `INIT`/`TRANS`
 //! constraints couple every variable they mention with every other: a
 //! relational constraint cannot be attributed to a single variable, so
-//! its support is treated as mutually dependent. That rule is what
-//! makes cone-of-influence slicing ([`crate::plan_coi`]) sound: a raw
-//! constraint is always either wholly inside or wholly outside a cone.
+//! its support is treated as mutually dependent, and a raw constraint
+//! is always either wholly inside or wholly outside a cone.
 //!
 //! [`frozen_constants`] runs an optimistic fixpoint that finds
 //! variables provably stuck at one value on every path: candidates
@@ -20,7 +19,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use smc_smv::{Assign, AssignKind, CaseBranch, Expr, Module, Section, Spec, VarType};
+use smc_smv::{ArithOp, Assign, AssignKind, CaseBranch, Expr, Module, Section, Spec, VarType};
+
+use crate::diag::{Diagnostic, Report};
 
 /// One value a variable can be frozen to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,21 +32,6 @@ pub enum ConstVal {
     Int(i64),
     /// An enumeration symbol.
     Sym(String),
-}
-
-impl ConstVal {
-    /// The value as an SMV expression literal, when one exists.
-    ///
-    /// Enum symbols are *not* foldable: substituting the symbol into an
-    /// expression only compiles while some kept variable's domain still
-    /// declares it, so cone slicing keeps the variable instead.
-    pub fn to_expr(&self) -> Option<Expr> {
-        match self {
-            ConstVal::Bool(b) => Some(Expr::Bool(*b)),
-            ConstVal::Int(k) => Some(Expr::Int(*k)),
-            ConstVal::Sym(_) => None,
-        }
-    }
 }
 
 impl std::fmt::Display for ConstVal {
@@ -72,8 +58,6 @@ pub struct DepGraph {
     pub spec_support: Vec<BTreeSet<String>>,
     /// Union of the support of every `FAIRNESS` constraint.
     pub fairness_support: BTreeSet<String>,
-    /// Support of each raw `INIT`/`TRANS` section, in source order.
-    pub constraint_support: Vec<BTreeSet<String>>,
     /// Variables read anywhere (assignments, constraints, fairness,
     /// specs), with `DEFINE` reads counted only when the macro is used.
     pub read_anywhere: BTreeSet<String>,
@@ -96,7 +80,6 @@ impl DepGraph {
 
         let mut spec_support = Vec::new();
         let mut fairness_support = BTreeSet::new();
-        let mut constraint_support = Vec::new();
         let mut read_anywhere = BTreeSet::new();
         for section in &module.sections {
             match section {
@@ -116,7 +99,6 @@ impl DepGraph {
                     for v in &reads {
                         deps.entry(v.clone()).or_default().extend(reads.iter().cloned());
                     }
-                    constraint_support.push(reads);
                 }
                 Section::Fairness(e, _) => {
                     let reads = support.of_expr(e);
@@ -130,28 +112,17 @@ impl DepGraph {
                 }
             }
         }
-        DepGraph { vars, deps, spec_support, fairness_support, constraint_support, read_anywhere }
+        DepGraph { vars, deps, spec_support, fairness_support, read_anywhere }
     }
 
     /// The backward closure of `seeds` over the dependency edges: every
     /// variable whose value can influence some seed.
     pub fn cone<'a>(&self, seeds: impl IntoIterator<Item = &'a String>) -> BTreeSet<String> {
-        self.cone_excluding(seeds, &BTreeSet::new())
-    }
-
-    /// [`DepGraph::cone`], but variables in `excluded` are neither added
-    /// nor traversed — used to fold frozen constants out of a slice
-    /// (their dependencies cannot matter once they are literals).
-    pub fn cone_excluding<'a>(
-        &self,
-        seeds: impl IntoIterator<Item = &'a String>,
-        excluded: &BTreeSet<String>,
-    ) -> BTreeSet<String> {
         let mut cone = BTreeSet::new();
         let mut frontier: Vec<&String> =
             seeds.into_iter().filter(|v| self.deps.contains_key(*v)).collect();
         while let Some(v) = frontier.pop() {
-            if excluded.contains(v) || !cone.insert(v.clone()) {
+            if !cone.insert(v.clone()) {
                 continue;
             }
             if let Some(reads) = self.deps.get(v) {
@@ -271,6 +242,48 @@ impl DepGraph {
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// The dataflow warning pass: W021 `constant-variable` for variables
+/// frozen at one value, W022 `irrelevant-to-all-specs` for variables
+/// the model reads but no spec's cone (fairness included) contains.
+pub(crate) fn lint(module: &Module, report: &mut Report) {
+    let graph = DepGraph::build(module);
+    let consts = frozen_constants(module);
+    let mut relevant = BTreeSet::new();
+    for support in &graph.spec_support {
+        relevant.extend(graph.cone(support.union(&graph.fairness_support)));
+    }
+
+    for section in &module.sections {
+        let Section::Var(decls) = section else { continue };
+        for d in decls {
+            if let Some(c) = consts.get(&d.name) {
+                report.push(
+                    Diagnostic::warning(
+                        "W021",
+                        format!("variable `{}` is frozen at `{c}`: no assignment moves it", d.name),
+                        Some(d.span),
+                    )
+                    .with_note(format!("every reachable state has {}={c}", d.name))
+                    .with_note("`smc deps` lists it under the frozen constants"),
+                );
+            } else if !graph.spec_support.is_empty()
+                && !relevant.contains(&d.name)
+                && graph.read_anywhere.contains(&d.name)
+            {
+                report.push(
+                    Diagnostic::warning(
+                        "W022",
+                        format!("variable `{}` influences no specification", d.name),
+                        Some(d.span),
+                    )
+                    .with_note("it lies outside every spec's cone of influence (fairness included)")
+                    .with_note("`smc deps` prints every spec's cone"),
+                );
+            }
+        }
     }
 }
 
@@ -511,19 +524,10 @@ impl EvalCtx<'_> {
             Expr::Le(x, y) => self.ints(x, y, env, depth).map(|(a, c)| ConstVal::Bool(a <= c)),
             Expr::Gt(x, y) => self.ints(x, y, env, depth).map(|(a, c)| ConstVal::Bool(a > c)),
             Expr::Ge(x, y) => self.ints(x, y, env, depth).map(|(a, c)| ConstVal::Bool(a >= c)),
-            Expr::Add(x, y) => {
-                self.ints(x, y, env, depth).map(|(a, c)| ConstVal::Int(a.wrapping_add(c)))
-            }
-            Expr::Sub(x, y) => {
-                self.ints(x, y, env, depth).map(|(a, c)| ConstVal::Int(a.wrapping_sub(c)))
-            }
-            Expr::Mul(x, y) => {
-                self.ints(x, y, env, depth).map(|(a, c)| ConstVal::Int(a.wrapping_mul(c)))
-            }
-            Expr::Mod(x, y) => match self.ints(x, y, env, depth) {
-                Some((a, c)) if c != 0 => Some(ConstVal::Int(a.rem_euclid(c))),
-                _ => None,
-            },
+            Expr::Add(x, y) => self.arith(x, y, env, depth, ArithOp::Add),
+            Expr::Sub(x, y) => self.arith(x, y, env, depth, ArithOp::Sub),
+            Expr::Mul(x, y) => self.arith(x, y, env, depth, ArithOp::Mul),
+            Expr::Mod(x, y) => self.arith(x, y, env, depth, ArithOp::Mod),
             Expr::Case(branches) => self.eval_case(branches, env, depth),
             Expr::Set(elems) => {
                 let mut value: Option<ConstVal> = None;
@@ -574,6 +578,19 @@ impl EvalCtx<'_> {
             _ => return None,
         };
         Some(ConstVal::Bool(same != negate))
+    }
+
+    /// Integer arithmetic; an overflow or `mod 0` is not a constant.
+    fn arith(
+        &self,
+        x: &Expr,
+        y: &Expr,
+        env: &BTreeMap<String, ConstVal>,
+        depth: usize,
+        op: ArithOp,
+    ) -> Option<ConstVal> {
+        let (a, c) = self.ints(x, y, env, depth)?;
+        op.apply(a, c).map(ConstVal::Int)
     }
 
     fn ints(
@@ -660,7 +677,6 @@ mod tests {
         let ab: BTreeSet<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
         assert_eq!(g.deps["a"], ab);
         assert_eq!(g.deps["b"], ab);
-        assert_eq!(g.constraint_support, vec![ab.clone()]);
         // The cone of a pulls in b via the coupling, but not c.
         assert_eq!(g.cone(&["a".to_string()]), ab);
     }

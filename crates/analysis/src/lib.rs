@@ -10,11 +10,10 @@
 //!    undeclared identifiers, duplicate assignments, out-of-domain
 //!    constants, shadowed `case` branches, circular `next()`
 //!    dependencies, unused and write-only variables.
-//! 2. **Dataflow** (`coi`/`dataflow`): builds the variable
-//!    dependency graph, runs the constant-propagation fixpoint, and
-//!    reports variables frozen at one value (W021) or outside every
-//!    spec's cone of influence (W022). The same machinery plans
-//!    cone-of-influence slicing for `--coi` checking ([`plan_coi`]).
+//! 2. **Dataflow** (`dataflow`): builds the variable dependency graph,
+//!    runs the constant-propagation fixpoint, and reports variables
+//!    frozen at one value (W021) or outside every spec's cone of
+//!    influence (W022). `smc deps` prints the same graph and cones.
 //! 3. **Symbolic** (`symbolic`): compiles the model (deadlocks
 //!    allowed, branch guards recorded) and checks it with BDDs — a
 //!    non-total transition relation with a concrete stuck state,
@@ -42,14 +41,12 @@
 //! assert!(report.diagnostics.iter().any(|d| d.code == "W001")); // y unused
 //! ```
 
-mod coi;
 mod dataflow;
 mod diag;
 mod symbolic;
 mod syntactic;
 mod vacuity;
 
-pub use coi::{plan_adhoc_coi, plan_coi, CoiPlan, SpecCoi};
 pub use dataflow::{frozen_constants, ConstVal, DepGraph};
 pub use diag::{Diagnostic, Report, Severity};
 
@@ -137,7 +134,7 @@ fn analyze_inner(source: &str, opts: &AnalysisOptions) -> Report {
     }
     // Dataflow warnings (W021/W022) are source-level like pass 1, but
     // only meaningful on a module whose names all resolve.
-    coi::run(&module, &mut report);
+    dataflow::lint(&module, &mut report);
 
     if !opts.symbolic && !opts.vacuity {
         return report;

@@ -26,18 +26,15 @@ use smc_obs::{FamilyRecord, PhaseRecord, Telemetry};
 const MUTEX_SMV: &str = include_str!("../../../models/mutex.smv");
 const ARBITER2_SMV: &str = include_str!("../../../models/arbiter2.smv");
 const COUNTER8_SMV: &str = include_str!("../../../models/counter8.smv");
-const PIPELINE_SMV: &str = include_str!("../../../models/pipeline.smv");
 
 /// Every family the observatory knows, in run order: the two SMV demo
 /// models, the paper's Seitz arbiter (counterexample-bearing liveness
 /// spec), the same circuit exported with `Netlist::to_smv` and compiled
 /// by the SMV front end (its free scheduler input `sel` puts the
 /// two-part transition relation on the preimage path), a 9-stage
-/// inverter ring (witness-bearing reset spec), the parallel engine's
-/// batch throughput workload, and the cone-of-influence reduction on
-/// the three-component pipeline model.
-pub const ALL_FAMILIES: &[&str] =
-    &["mutex", "arbiter2", "seitz", "seitz_smv", "ring9", "batch", "coi"];
+/// inverter ring (witness-bearing reset spec), and the parallel
+/// engine's batch throughput workload.
+pub const ALL_FAMILIES: &[&str] = &["mutex", "arbiter2", "seitz", "seitz_smv", "ring9", "batch"];
 
 /// The `seitz` family's liveness spec, shared by the `seitz_smv` export.
 const SEITZ_SPEC: &str = "AG (tr1 -> AF ta1)";
@@ -127,10 +124,6 @@ pub fn run(config: &BenchConfig) -> Result<Vec<FamilyRecord>, String> {
     for name in selected {
         if name == "batch" {
             out.push(run_batch_family(reps, config)?);
-            continue;
-        }
-        if name == "coi" {
-            out.push(run_coi_family(reps, config)?);
             continue;
         }
         let mut times = Vec::with_capacity(reps as usize);
@@ -257,103 +250,6 @@ fn run_batch_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, Str
         counters,
         throughput_jobs_per_s: Some(throughput),
     })
-}
-
-/// One measured schedule of the `coi` family: wall seconds, per-spec
-/// verdicts, and the `(cache_lookups, created_nodes)` work counters.
-type CoiPass = (f64, Vec<bool>, (u64, u64));
-
-/// One pass over the pipeline model checking every `SPEC` on the full
-/// model.
-fn coi_full_pass(config: &BenchConfig) -> Result<CoiPass, String> {
-    let instrumented = config.telemetry || config.recorder;
-    let tele = if instrumented { bench_telemetry(config) } else { Telemetry::disabled() };
-    let t = Instant::now();
-    let mut compiled =
-        smc_smv::compile_with(PIPELINE_SMV, None, tele).map_err(|e| format!("coi: {e}"))?;
-    let specs = compiled.specs.clone();
-    let mut checker = Checker::new(&mut compiled.model);
-    let mut verdicts = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        verdicts.push(checker.check(&spec.formula).map_err(|e| format!("coi: {e}"))?.holds());
-    }
-    let wall = t.elapsed().as_secs_f64();
-    let stats = compiled.model.manager().stats();
-    Ok((wall, verdicts, (stats.cache_lookups, stats.created_nodes)))
-}
-
-/// One pass over the pipeline model checking every `SPEC` on its sliced
-/// cone, summing the work counters across the per-spec managers. The
-/// pipeline is built so every spec genuinely slices; a planner fallback
-/// here is a broken build, not a regression.
-fn coi_sliced_pass(config: &BenchConfig) -> Result<CoiPass, String> {
-    let instrumented = config.telemetry || config.recorder;
-    let t = Instant::now();
-    let program = smc_smv::parse(PIPELINE_SMV).map_err(|e| format!("coi: {e}"))?;
-    let module = smc_smv::flatten(&program).map_err(|e| format!("coi: {e}"))?;
-    let plan = smc_analysis::plan_coi(&module);
-    let mut verdicts = Vec::with_capacity(plan.specs.len());
-    let mut counters = (0u64, 0u64);
-    for spec in &plan.specs {
-        let sliced = spec
-            .module
-            .as_ref()
-            .ok_or_else(|| format!("coi: spec {} fell back to the full model", spec.index))?;
-        let tele = if instrumented { bench_telemetry(config) } else { Telemetry::disabled() };
-        let mut compiled =
-            smc_smv::compile_module_with_options(sliced, None, tele, Default::default())
-                .map_err(|e| format!("coi: {e}"))?;
-        let formula = compiled.specs[0].formula.clone();
-        let verdict =
-            Checker::new(&mut compiled.model).check(&formula).map_err(|e| format!("coi: {e}"))?;
-        verdicts.push(verdict.holds());
-        let stats = compiled.model.manager().stats();
-        counters.0 += stats.cache_lookups;
-        counters.1 += stats.created_nodes;
-    }
-    Ok((t.elapsed().as_secs_f64(), verdicts, counters))
-}
-
-/// The `coi` family: the bundled pipeline model checked whole (`full`
-/// phase) and under per-spec cone-of-influence slicing (`sliced`
-/// phase), with the exact work counters of both schedules recorded so
-/// the ledger gates the reduction itself — `coi_created_nodes` staying
-/// below `full_created_nodes` is the optimization's paper trail.
-///
-/// Every repetition cross-checks the verdicts: any spec whose sliced
-/// answer differs from the full model is a soundness bug and fails the
-/// run outright (exit 2 at the CLI), not a gate.
-fn run_coi_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, String> {
-    let mut walls_full = Vec::with_capacity(reps as usize);
-    let mut walls_sliced = Vec::with_capacity(reps as usize);
-    let mut counters = Vec::new();
-    for _ in 0..reps {
-        let (wf, vf, cf) = coi_full_pass(config)?;
-        let (ws, vs, cs) = coi_sliced_pass(config)?;
-        if vf != vs {
-            return Err("coi: sliced verdicts differ from the full model \
-                 (soundness bug, not a regression)"
-                .to_string());
-        }
-        walls_full.push(wf);
-        walls_sliced.push(ws);
-        counters = vec![
-            ("full_cache_lookups".to_string(), cf.0),
-            ("full_created_nodes".to_string(), cf.1),
-            ("coi_cache_lookups".to_string(), cs.0),
-            ("coi_created_nodes".to_string(), cs.1),
-        ];
-    }
-    let scale = 1.0 + config.inject_slowdown_pct / 100.0;
-    let phases = [("full", walls_full), ("sliced", walls_sliced)]
-        .into_iter()
-        .map(|(phase, xs)| PhaseRecord {
-            phase: phase.to_string(),
-            median_s: median(&xs) * scale,
-            best_s: best(&xs) * scale,
-        })
-        .collect();
-    Ok(FamilyRecord { name: "coi".to_string(), phases, counters, throughput_jobs_per_s: None })
 }
 
 /// One repetition of one family: a fresh model, the four timed phases,
@@ -556,35 +452,6 @@ mod tests {
         assert!(fam.counters.iter().all(|(_, v)| *v > 0));
         // A second run reproduces every per-job counter exactly — this
         // is what lets the ledger gate them with no tolerance.
-        let again = run(&config).unwrap();
-        assert_eq!(fam.counters, again[0].counters);
-    }
-
-    #[test]
-    fn coi_family_does_measurably_less_work_than_the_full_model() {
-        let config =
-            BenchConfig { repetitions: 1, families: vec!["coi".into()], ..BenchConfig::default() };
-        let families = run(&config).unwrap();
-        assert_eq!(families.len(), 1);
-        let fam = &families[0];
-        assert_eq!(fam.name, "coi");
-        let phases: Vec<&str> = fam.phases.iter().map(|p| p.phase.as_str()).collect();
-        assert_eq!(phases, ["full", "sliced"]);
-        let counter = |name: &str| {
-            fam.counters.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("{name}")).1
-        };
-        // The reduction's whole point, gated exactly: checking the four
-        // specs on their cones builds fewer BDD nodes than the full
-        // model does — even though the sliced pass re-compiles the
-        // transition relation once per spec.
-        assert!(
-            counter("coi_created_nodes") < counter("full_created_nodes"),
-            "slicing must shrink the workload: {:?}",
-            fam.counters
-        );
-        assert!(fam.counters.iter().all(|(_, v)| *v > 0));
-        // Exact counters reproduce across runs — the ledger gates them
-        // with no tolerance.
         let again = run(&config).unwrap();
         assert_eq!(fam.counters, again[0].counters);
     }

@@ -59,13 +59,6 @@ pub struct EngineConfig {
     pub node_limit: Option<usize>,
     /// Per-job fixpoint iteration cap.
     pub max_iters: Option<u64>,
-    /// Cone-of-influence reduction: whole-model jobs (no ad-hoc
-    /// formula) without traces check each `SPEC` on its sliced model
-    /// when the planner finds a sound slice; verdicts are unchanged.
-    /// COI jobs bypass the warm-start cache (its artifacts hold
-    /// full-model reachable sets) and print one `coi:` report line per
-    /// spec to stderr.
-    pub coi: bool,
     /// Fleet-wide cancellation: observed by every job's governor.
     pub cancel: Option<CancelToken>,
     /// Witness cycle-closure strategy (as `smc check --strategy`).
@@ -101,7 +94,6 @@ impl Default for EngineConfig {
             timeout: None,
             node_limit: None,
             max_iters: None,
-            coi: false,
             cancel: None,
             strategy: CycleStrategy::default(),
             metrics: Metrics::disabled(),
@@ -283,8 +275,7 @@ pub struct JobResult {
     /// The job's manager's total created nodes (work counter, ditto).
     pub created_nodes: u64,
     /// Post-run heap brief; `None` unless the engine ran with
-    /// [`EngineConfig::heap`] (COI jobs spread over several managers
-    /// also report `None` — there is no single heap to summarize).
+    /// [`EngineConfig::heap`].
     pub heap: Option<JobHeap>,
 }
 
@@ -425,40 +416,26 @@ pub(crate) fn run_job_with(
     let mut cache_hit = false;
     let mut counters = (0u64, 0u64);
     let mut heap = None;
-    // The COI fast path: whole-model, traceless jobs check each SPEC on
-    // its sliced model. Any snag (no sound slice, a sliced compile
-    // failing) returns None and the ordinary full-model path runs; the
-    // warm-start cache is bypassed because its artifacts hold
-    // full-model reachable sets.
-    let coi = (cfg.coi && job.spec.is_none() && !want_trace)
-        .then(|| coi_specs(job, cfg, budget.clone(), &tele))
-        .flatten();
-    let outcome = match coi {
-        Some((outcome, coi_counters)) => {
-            counters = coi_counters;
+    let outcome = match compile_job(job, budget, tele, cache) {
+        Err(outcome) => outcome,
+        Ok((mut compiled, hit)) => {
+            cache_hit = hit;
+            #[cfg(any(test, feature = "fault-injection"))]
+            if let Some(plan) = &cfg.fault_plan {
+                compiled.model.manager_mut().inject_faults(plan.clone());
+            }
+            let outcome = check_specs(job, cfg, &mut compiled, want_trace);
+            let stats = compiled.model.manager().stats();
+            counters = (stats.cache_lookups, stats.created_nodes);
+            if cfg.heap {
+                if let Event::HeapSample { live_nodes, widest_level, widest_width, .. } =
+                    compiled.model.manager().heap_sample()
+                {
+                    heap = Some(JobHeap { live_nodes, widest_level, widest_width });
+                }
+            }
             outcome
         }
-        None => match compile_job(job, budget, tele, cache) {
-            Err(outcome) => outcome,
-            Ok((mut compiled, hit)) => {
-                cache_hit = hit;
-                #[cfg(any(test, feature = "fault-injection"))]
-                if let Some(plan) = &cfg.fault_plan {
-                    compiled.model.manager_mut().inject_faults(plan.clone());
-                }
-                let outcome = check_specs(job, cfg, &mut compiled, want_trace);
-                let stats = compiled.model.manager().stats();
-                counters = (stats.cache_lookups, stats.created_nodes);
-                if cfg.heap {
-                    if let Event::HeapSample { live_nodes, widest_level, widest_width, .. } =
-                        compiled.model.manager().heap_sample()
-                    {
-                        heap = Some(JobHeap { live_nodes, widest_level, widest_width });
-                    }
-                }
-                outcome
-            }
-        },
     };
     // Fold this job's recorder traffic into the fleet series (deltas,
     // so a server-owned recorder shared across jobs counts each once).
@@ -547,83 +524,4 @@ fn check_specs(
         Some((phase, reason)) => JobOutcome::Exhausted { phase, reason, decided: results },
         None => JobOutcome::Checked { specs: results },
     }
-}
-
-/// Checks every `SPEC` of a whole-model job under cone-of-influence
-/// reduction: sliced specs run on their sliced model, fallback specs on
-/// one lazily compiled full model. Returns the outcome and the summed
-/// `(cache_lookups, created_nodes)` work counters, or `None` when the
-/// planner finds nothing to slice (or any compile fails) — the caller
-/// then runs the ordinary full-model path, which reports input problems
-/// with its usual diagnostics.
-fn coi_specs(
-    job: &Job,
-    cfg: &EngineConfig,
-    budget: Option<Budget>,
-    tele: &Telemetry,
-) -> Option<(JobOutcome, (u64, u64))> {
-    let program = parse(&job.source).ok()?;
-    let module: Module = flatten(&program).ok()?;
-    let plan = smc_analysis::plan_coi(&module);
-    if plan.specs.is_empty() || !plan.any_sliced() {
-        return None;
-    }
-    // Compile everything up front so a failing slice can still fall
-    // back to the ordinary path before any verdict is produced.
-    let mut models: Vec<Option<CompiledModel>> = Vec::with_capacity(plan.specs.len());
-    let mut full: Option<CompiledModel> = None;
-    let compile = |m: &Module| {
-        compile_module_with_options(m, budget.clone(), tele.clone(), CompileOptions::default())
-    };
-    for spec in &plan.specs {
-        match &spec.module {
-            Some(sliced) => models.push(Some(compile(sliced).ok()?)),
-            None => {
-                if full.is_none() {
-                    full = Some(compile(&module).ok()?);
-                }
-                models.push(None);
-            }
-        }
-    }
-    for spec in &plan.specs {
-        eprintln!("{}: {}", job.name, spec.report);
-    }
-
-    let mut results = Vec::new();
-    let mut exhausted: Option<(String, String)> = None;
-    for (spec, slot) in plan.specs.iter().zip(models.iter_mut()) {
-        let (compiled, spec_at, sliced) = match slot {
-            Some(c) => (c, 0, true),
-            None => (full.as_mut()?, spec.index, false),
-        };
-        let formula = compiled.specs.get(spec_at)?.formula.clone();
-        // A sliced model carries exactly one SPEC, so the compiler labels
-        // its synthesised atoms `__spec0_*`; restore the spec's original
-        // index so the rendered formula matches the unsliced run exactly.
-        let mut rendered = formula.to_string();
-        if sliced && spec.index != 0 {
-            rendered = rendered.replace("__spec0_", &format!("__spec{}_", spec.index));
-        }
-        let mut checker = Checker::new(&mut compiled.model).with_strategy(cfg.strategy);
-        match checker.check(&formula) {
-            Ok(v) => results.push(SpecResult { formula: rendered, holds: v.holds(), trace: None }),
-            Err(CheckError::ResourceExhausted { phase, reason, .. }) => {
-                exhausted = Some((phase.to_string(), reason.to_string()));
-                break;
-            }
-            Err(_) => return None,
-        }
-    }
-    let mut counters = (0u64, 0u64);
-    for compiled in models.iter().flatten().chain(full.iter()) {
-        let stats = compiled.model.manager().stats();
-        counters.0 += stats.cache_lookups;
-        counters.1 += stats.created_nodes;
-    }
-    let outcome = match exhausted {
-        Some((phase, reason)) => JobOutcome::Exhausted { phase, reason, decided: results },
-        None => JobOutcome::Checked { specs: results },
-    };
-    Some((outcome, counters))
 }

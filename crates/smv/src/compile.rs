@@ -7,10 +7,10 @@ use smc_kripke::{State, SymbolicModel};
 use smc_logic::{Ctl, MAX_SYNTAX_DEPTH};
 use smc_obs::{SpanId, SpanKind, StatsSnapshot, Telemetry};
 
-use crate::ast::{Assign, AssignKind, Expr, Module, Program, Section, Span, Spec};
+use crate::ast::{Assign, AssignKind, Expr, Module, Section, Span, Spec};
 use crate::error::SmvError;
 use crate::flatten::flatten;
-use crate::value::Value;
+use crate::value::{ArithOp, Value};
 
 /// A compiled specification: the original AST and the [`Ctl`] formula
 /// whose atoms are labels registered in the model.
@@ -132,30 +132,25 @@ impl CompiledModel {
 /// outside a variable's domain, [`SmvError::Kripke`] if the resulting
 /// model is degenerate (empty initial set, deadlock).
 pub fn compile(source: &str) -> Result<CompiledModel, SmvError> {
-    let program = crate::parser::parse(source)?;
-    compile_program(&program)
+    compile_with(source, None, Telemetry::disabled())
 }
 
-/// As [`compile`], but installs `budget` on the model's BDD manager
-/// *before* the compile-time totality check, so even the load-time
-/// reachability fixpoint runs governed. A budget trip surfaces as
-/// [`SmvError::Kripke`] wrapping
+/// The fully-instrumented entry point: as [`compile`], with an optional
+/// budget and a telemetry handle installed on the model's BDD manager
+/// before any compilation work.
+///
+/// The budget is in place *before* the compile-time totality check, so
+/// even the load-time reachability fixpoint runs governed. A budget
+/// trip surfaces as [`SmvError::Kripke`] wrapping
 /// [`BddError::ResourceExhausted`](smc_bdd::BddError::ResourceExhausted);
 /// the budget stays installed for subsequent checking on the model.
-pub fn compile_budgeted(source: &str, budget: Budget) -> Result<CompiledModel, SmvError> {
-    compile_with(source, Some(budget), Telemetry::disabled())
-}
-
-/// The fully-instrumented entry point: as [`compile_budgeted`] (budget
-/// optional), with a telemetry handle installed on the model's BDD
-/// manager before any compilation work. The whole parse + compile +
-/// totality check runs under a `compile` span, and every later phase
-/// (reachability, fixpoints, witnesses) reaches the same handle through
-/// the manager.
+/// The whole parse + compile + totality check runs under a `compile`
+/// span, and every later phase (reachability, fixpoints, witnesses)
+/// reaches the same handle through the manager.
 ///
 /// # Errors
 ///
-/// As [`compile`] / [`compile_budgeted`].
+/// As [`compile`].
 pub fn compile_with(
     source: &str,
     budget: Option<Budget>,
@@ -171,8 +166,8 @@ pub fn compile_with(
 ///
 /// # Errors
 ///
-/// As [`compile`] / [`compile_budgeted`], minus the deadlock rejection
-/// when [`CompileOptions::allow_deadlock`] is set.
+/// As [`compile`], minus the deadlock rejection when
+/// [`CompileOptions::allow_deadlock`] is set.
 pub fn compile_with_options(
     source: &str,
     budget: Option<Budget>,
@@ -201,24 +196,13 @@ pub fn compile_with_options(
     result
 }
 
-/// Compiles an already-parsed program: flattens the module hierarchy
-/// into `main`, then compiles; see [`compile`].
-pub fn compile_program(program: &Program) -> Result<CompiledModel, SmvError> {
-    let flat = flatten(program)?;
-    compile_module(&flat)
-}
-
-/// Compiles a single flattened (instance-free) module.
-pub fn compile_module(program: &Module) -> Result<CompiledModel, SmvError> {
-    compile_module_full(program, None, Telemetry::disabled(), CompileOptions::default())
-}
-
 /// Compiles a single flattened (instance-free) module with explicit
 /// [`CompileOptions`], budget and telemetry; see [`compile_with_options`].
 ///
 /// # Errors
 ///
-/// As [`compile_module`].
+/// As [`compile_with_options`], minus parse errors; an unflattened
+/// instance is a [`SmvError::Semantic`].
 pub fn compile_module_with_options(
     program: &Module,
     budget: Option<Budget>,
@@ -275,7 +259,7 @@ fn compile_module_full(
                         }
                         crate::ast::VarType::Instance(m, _) => {
                             return Err(SmvError::semantic(format!(
-                                "unflattened instance of module {m:?} (use compile_program)"
+                                "unflattened instance of module {m:?} (flatten the program first)"
                             )));
                         }
                     };
@@ -709,16 +693,10 @@ impl Ctx<'_> {
             Expr::Le(a, b) => self.compare(a, b, allow_next, depth, "<=", int_cmp(|x, y| x <= y)),
             Expr::Gt(a, b) => self.compare(a, b, allow_next, depth, ">", int_cmp(|x, y| x > y)),
             Expr::Ge(a, b) => self.compare(a, b, allow_next, depth, ">=", int_cmp(|x, y| x >= y)),
-            Expr::Add(a, b) => self.arith(a, b, allow_next, depth, "+", |x, y| Ok(x + y)),
-            Expr::Sub(a, b) => self.arith(a, b, allow_next, depth, "-", |x, y| Ok(x - y)),
-            Expr::Mul(a, b) => self.arith(a, b, allow_next, depth, "*", |x, y| Ok(x * y)),
-            Expr::Mod(a, b) => self.arith(a, b, allow_next, depth, "mod", |x, y| {
-                if y == 0 {
-                    Err(SmvError::semantic("modulo by zero"))
-                } else {
-                    Ok(x.rem_euclid(y))
-                }
-            }),
+            Expr::Add(a, b) => self.arith(a, b, allow_next, depth, ArithOp::Add),
+            Expr::Sub(a, b) => self.arith(a, b, allow_next, depth, ArithOp::Sub),
+            Expr::Mul(a, b) => self.arith(a, b, allow_next, depth, ArithOp::Mul),
+            Expr::Mod(a, b) => self.arith(a, b, allow_next, depth, ArithOp::Mod),
             Expr::Case(branches) => {
                 let mut remaining = Bdd::TRUE;
                 let mut out: ValueMap = Vec::new();
@@ -856,8 +834,7 @@ impl Ctx<'_> {
         b: &Expr,
         allow_next: bool,
         depth: usize,
-        opname: &str,
-        op: impl Fn(i64, i64) -> Result<i64, SmvError>,
+        op: ArithOp,
     ) -> Result<ValueMap, SmvError> {
         let ma = self.eval(a, allow_next, false, depth + 1)?;
         let mb = self.eval(b, allow_next, false, depth + 1)?;
@@ -867,15 +844,21 @@ impl Ctx<'_> {
                 let (Some(x), Some(y)) = (va.as_int(), vb.as_int()) else {
                     return Err(SmvError::semantic(format!(
                         "arithmetic {} needs integers, found {} and {}",
-                        opname,
+                        op.symbol(),
                         va.type_name(),
                         vb.type_name()
                     )));
                 };
                 let g = self.manager.and(*ga, *gb);
                 if !g.is_false() {
-                    let v = Value::Int(op(x, y)?);
-                    merge(&mut self.manager, &mut out, v, g);
+                    let v = op.apply(x, y).ok_or_else(|| {
+                        SmvError::semantic(if op == ArithOp::Mod && y == 0 {
+                            "modulo by zero".to_string()
+                        } else {
+                            format!("integer overflow in {}", op.symbol())
+                        })
+                    })?;
+                    merge(&mut self.manager, &mut out, Value::Int(v), g);
                 }
             }
         }

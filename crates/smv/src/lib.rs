@@ -71,21 +71,19 @@ mod error;
 mod flatten;
 mod lexer;
 mod parser;
-mod slice;
 mod value;
 
 pub use ast::{
     Assign, AssignKind, CaseBranch, Decl, Expr, Module, Program, Section, Span, Spec, VarType,
 };
 pub use compile::{
-    compile, compile_budgeted, compile_module, compile_module_with_options, compile_program,
-    compile_with, compile_with_options, AssignBranch, CompileOptions, CompiledModel, CompiledSpec,
+    compile, compile_module_with_options, compile_with, compile_with_options, AssignBranch,
+    CompileOptions, CompiledModel, CompiledSpec,
 };
 pub use error::SmvError;
 pub use flatten::flatten;
 pub use parser::parse;
-pub use slice::slice_module;
-pub use value::Value;
+pub use value::{ArithOp, Value};
 
 #[cfg(test)]
 mod tests;

@@ -648,3 +648,103 @@ fn each_define_body_is_evaluated_once_per_context() {
         other => panic!("{other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------
+// Integer arithmetic
+// ---------------------------------------------------------------------
+
+/// An integer as SMV source: `i64::MIN` has no literal of its own.
+fn int_source(v: i64) -> String {
+    if v == i64::MIN {
+        "(-9223372036854775807 - 1)".to_string()
+    } else {
+        v.to_string()
+    }
+}
+
+mod arithmetic {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::value::ArithOp;
+
+    const OPS: [ArithOp; 4] = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Mod];
+
+    /// The edge values, small values, and values from all of `i64`
+    /// that an SMV literal can write (every one but `i64::MIN`).
+    fn operand() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            prop_oneof![Just(i64::MIN + 1), Just(-1i64), Just(0i64), Just(1i64), Just(i64::MAX)],
+            -4i64..=4,
+            any::<u64>().prop_map(|u| (u as i64).max(i64::MIN + 1)),
+        ]
+    }
+
+    /// `a op b` computed exactly.
+    fn exact(op: ArithOp, a: i64, b: i64) -> Option<i128> {
+        let (a, b) = (i128::from(a), i128::from(b));
+        match op {
+            ArithOp::Add => Some(a + b),
+            ArithOp::Sub => Some(a - b),
+            ArithOp::Mul => Some(a * b),
+            ArithOp::Mod => (b != 0).then(|| a.rem_euclid(b)),
+        }
+    }
+
+    proptest! {
+        /// The compiler refuses `a op b` with an E002 exactly when the
+        /// exact result leaves `i64` or the divisor is 0, and otherwise
+        /// computes the exact result.
+        #[test]
+        fn integer_operations_are_exact_or_refused(
+            a in operand(),
+            b in operand(),
+            which in 0usize..4,
+        ) {
+            let op = OPS[which];
+            let result = exact(op, a, b).and_then(|r| i64::try_from(r).ok());
+            // A SPEC leaf that opens with `(` parses as a formula, so
+            // the operation and its expected value are DEFINEs.
+            let src = format!(
+                "MODULE main\nVAR x : boolean;\nASSIGN init(x) := FALSE; next(x) := x;\n\
+                 DEFINE v := ({}) {} ({});\nDEFINE r := {};\nSPEC AG v = r\n",
+                int_source(a),
+                op.symbol(),
+                int_source(b),
+                int_source(result.unwrap_or(0)),
+            );
+            match (compile(&src), result) {
+                (Ok(mut compiled), Some(_)) => {
+                    let spec = compiled.specs[0].formula.clone();
+                    let holds = Checker::new(&mut compiled.model).check(&spec).expect("checks");
+                    prop_assert!(holds.holds(), "{src}");
+                }
+                (Err(SmvError::Semantic { message, span: Some(_) }), None) => {
+                    let want = if op == ArithOp::Mod && b == 0 {
+                        "modulo by zero".to_string()
+                    } else {
+                        format!("integer overflow in {}", op.symbol())
+                    };
+                    prop_assert_eq!(message, want, "{}", src);
+                }
+                (other, _) => panic!("{src}\nexact result {result:?}, compile gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn mod_of_the_least_integer_by_minus_one_is_refused_not_a_panic() {
+        // Its quotient, 2^63, leaves `i64`; `rem_euclid` would panic.
+        assert_eq!(ArithOp::Mod.apply(i64::MIN, -1), None);
+        let src = format!(
+            "MODULE main\nVAR x : 0..3;\nASSIGN init(x) := 0; next(x) := {} mod -1;\n",
+            int_source(i64::MIN)
+        );
+        match compile(&src) {
+            Err(SmvError::Semantic { message, span: Some(_) }) => {
+                assert_eq!(message, "integer overflow in mod");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+}

@@ -41,6 +41,44 @@ impl Value {
     }
 }
 
+/// An SMV integer operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArithOp {
+    /// `+`.
+    Add,
+    /// `-`.
+    Sub,
+    /// `*`.
+    Mul,
+    /// `mod`, Euclidean: the result lies in `0..|y|`.
+    Mod,
+}
+
+impl ArithOp {
+    /// `x op y`, or `None` when `op` is `mod` by zero or the result
+    /// leaves `i64` (for `mod`, when its quotient does: `i64::MIN mod
+    /// -1`). The compiler and the dataflow analysis both evaluate SMV
+    /// arithmetic through this function.
+    pub fn apply(self, x: i64, y: i64) -> Option<i64> {
+        match self {
+            ArithOp::Add => x.checked_add(y),
+            ArithOp::Sub => x.checked_sub(y),
+            ArithOp::Mul => x.checked_mul(y),
+            ArithOp::Mod => x.checked_rem_euclid(y),
+        }
+    }
+
+    /// The operator as SMV source writes it.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            ArithOp::Add => "+",
+            ArithOp::Sub => "-",
+            ArithOp::Mul => "*",
+            ArithOp::Mod => "mod",
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

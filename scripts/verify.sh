@@ -147,8 +147,8 @@ out=$(./target/release/smc lint models/lint_demo.smv) && rc=0 || rc=$?
 for code in W001 W002 W003 W005 W010 W011 W020 W021 W022; do
     grep -q "warning\[$code\]" <<<"$out" || { echo "lint_demo: $code missing"; exit 1; }
 done
-# pipeline.smv seeds the cone-of-influence demos: exactly one W022 (the
-# heartbeat bit no spec can observe) and nothing else.
+# pipeline.smv seeds the dataflow demos: exactly one W022 (the heartbeat
+# bit no spec can observe) and nothing else.
 out=$(./target/release/smc lint models/pipeline.smv) && rc=0 || rc=$?
 [ "$rc" -eq 1 ] || { echo "pipeline: expected exit 1, got $rc"; exit 1; }
 [ "$(grep -c 'warning\[' <<<"$out")" -eq 1 ] || { echo "pipeline: expected exactly one warning"; exit 1; }
@@ -161,15 +161,17 @@ out=$(./target/release/smc lint models/arbiter2.smv) && rc=0 || rc=$?
 [ "$(grep -c 'warning\[' <<<"$out")" -eq 1 ] || { echo "arbiter2: expected exactly one warning"; exit 1; }
 grep -q "warning\[W020\]" <<<"$out" || { echo "arbiter2: W020 missing"; exit 1; }
 
-echo "== cone-of-influence smoke (byte-identical verdicts) =="
-# --coi must never move stdout or the exit code; the reports land on
-# stderr. Checked here on the model built to exercise the slicer.
-plain=$(./target/release/smc check models/pipeline.smv 2>/dev/null) && prc=0 || prc=$?
-coi=$(./target/release/smc check --coi models/pipeline.smv 2>/dev/null) && crc=0 || crc=$?
-[ "$prc" -eq "$crc" ] || { echo "coi smoke: exit codes differ ($prc vs $crc)"; exit 1; }
-[ "$plain" = "$coi" ] || { echo "coi smoke: stdout differs"; exit 1; }
-err=$(./target/release/smc check --coi models/pipeline.smv 2>&1 1>/dev/null) || true
-grep -q "coi: spec 3 uses 1/6 vars" <<<"$err" || { echo "coi smoke: report line missing"; exit 1; }
-./target/release/smc deps models/pipeline.smv >/dev/null || { echo "deps smoke failed"; exit 1; }
+echo "== dependency smoke (the spec cones of the pipeline model) =="
+out=$(./target/release/smc deps models/pipeline.smv) || { echo "deps smoke failed"; exit 1; }
+grep -q '^  spec 3: 1/6 — phase$' <<<"$out" || { echo "deps smoke: spec 3's cone moved: $out"; exit 1; }
+
+echo "== overflow drill (i64::MIN mod -1 is a coded error, not a panic) =="
+ovf="$(mktemp --suffix=.smv)"
+printf 'MODULE main\nVAR x : 0..3;\nASSIGN init(x) := 0; next(x) := (-9223372036854775807 - 1) mod -1;\nSPEC AG x = 0\n' > "$ovf"
+err=$(./target/release/smc check "$ovf" 2>&1 >/dev/null) && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "overflow drill: smc check should exit 2, got $rc: $err"; exit 1; }
+grep -q 'error\[E002\]' <<<"$err" || { echo "overflow drill: no E002: $err"; exit 1; }
+./target/release/smc deps "$ovf" >/dev/null || { echo "overflow drill: smc deps failed"; exit 1; }
+rm -f "$ovf"
 
 echo "verify: OK"

@@ -1,10 +1,10 @@
 //! `smc` — command-line front end for the symbolic model checker.
 //!
 //! ```text
-//! smc check  [--trace] [--lint] [--coi] [--strategy restart|stayset] [COMMON] FILE.smv
-//! smc batch  [--jobs N] [--json] [--coi] [--no-cache] [COMMON] MANIFEST
+//! smc check  [--trace] [--lint] [--strategy restart|stayset] [COMMON] FILE.smv
+//! smc batch  [--jobs N] [--json] [--no-cache] [COMMON] MANIFEST
 //! smc serve  [--jobs N] [--listen ADDR] [--metrics-addr ADDR] ...  NDJSON service
-//! smc spec   [--lint] [--coi] [COMMON] FILE.smv FORMULA   check one ad-hoc CTL formula
+//! smc spec   [--lint] [COMMON] FILE.smv FORMULA   check one ad-hoc CTL formula
 //! smc lint   [--json] [COMMON] FILE.smv...        static + symbolic analysis
 //! smc deps   [--dot] FILE.smv                     variable dependency graph
 //! smc reach  [COMMON] FILE.smv                    reachability statistics
@@ -86,18 +86,18 @@ fn print_usage() {
         "smc — symbolic model checking with counterexamples and witnesses
 
 USAGE:
-    smc check  [--trace] [--lint] [--coi] [--heap]
+    smc check  [--trace] [--lint] [--heap]
                [--strategy restart|stayset] [COMMON] FILE.smv
-    smc batch  [--jobs N] [--json] [--trace] [--coi] [--heap] [--no-cache]
+    smc batch  [--jobs N] [--json] [--trace] [--heap] [--no-cache]
                [--cache-dir DIR] [--cache-cap N]
                [--strategy restart|stayset] [COMMON] MANIFEST
     smc serve  [--jobs N] [--listen ADDR] [--metrics-addr ADDR]
                [--max-queue N] [--quarantine-after N] [--watchdog SECS]
                [--drain-timeout SECS] [--retry-after-ms N] [--cache-dir DIR]
                [--cache-cap N] [--dump-dir DIR] [--dump-cap N]
-               [--recorder-cap N] [--trace] [--coi] [--no-cache]
+               [--recorder-cap N] [--trace] [--no-cache]
                [--strategy restart|stayset] [COMMON]
-    smc spec   [--lint] [--coi] [--heap] [COMMON] FILE.smv FORMULA
+    smc spec   [--lint] [--heap] [COMMON] FILE.smv FORMULA
     smc lint   [--json] [COMMON] FILE.smv...
     smc deps   [--dot] FILE.smv
     smc reach  [COMMON] FILE.smv
@@ -136,13 +136,7 @@ COMMANDS:
     check    check every SPEC of the program; with --trace, print a
              counterexample for each failing spec (and a witness for
              each holding temporal spec); with --lint, run the analyzer
-             first and print its findings to stderr; with --coi, check
-             each SPEC on its cone-of-influence slice (variables the
-             spec cannot observe are dropped, provably frozen variables
-             are folded to constants — verdicts are unchanged, one
-             `coi:` report line per spec goes to stderr; specs with no
-             sound slice, trace runs and unparseable models fall back
-             to the full model)
+             first and print its findings to stderr
     batch    check every job of a MANIFEST file (one `MODEL.smv
              [FORMULA]` per line; # comments) on --jobs N worker
              threads. Each job gets its own BDD manager and its own
@@ -155,9 +149,7 @@ COMMANDS:
              adds fleet-level series (queue depth, jobs in flight,
              cache traffic, per-job wall histogram); --cache-dir makes
              the warm-start cache persistent (crash-safe writes,
-             checksum-verified loads, --cache-cap LRU entries); --coi
-             checks whole-model traceless jobs on per-spec cones, as
-             for `smc check --coi` (such jobs bypass the cache)
+             checksum-verified loads, --cache-cap LRU entries)
     serve    long-running checking service: NDJSON requests in (stdin,
              or TCP with --listen), one NDJSON response per request
              out. Ops: {{\"op\":\"check\",\"source\"|\"path\":..,
@@ -184,9 +176,7 @@ COMMANDS:
              Exit is the worst executed-request outcome; rejections
              do not count
     spec     check one CTL formula against the model (atoms are boolean
-             variables or spec labels); --lint and --coi as for check
-             (the cone is seeded from the formula's atoms; label atoms
-             fall back to the full model)
+             variables or spec labels); --lint as for check
     lint     run the multi-pass analyzer: syntactic checks (unused and
              undeclared variables, shadowed branches, ...), symbolic
              checks (deadlocks, dead case branches, degenerate
@@ -212,7 +202,7 @@ COMMANDS:
              `spec` and `batch` as --heap
     dot      write the requested BDD as Graphviz DOT to stdout
     bench    run the benchmark observatory (families: mutex, arbiter2,
-             seitz, seitz_smv, ring9, batch, coi; phases: compile,
+             seitz, seitz_smv, ring9, batch; phases: compile,
              reach, check, witness) and gate against the --baseline
              ledger: exit 1 on a regression beyond --tolerance (default
              10%), append the run to the ledger's history when clean;
@@ -577,14 +567,12 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 fn cmd_check(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut trace = false;
     let mut lint = false;
-    let mut coi = false;
     let mut heap = false;
     let mut strategy = CycleStrategy::Restart;
     let opts = parse_common(args, |args, i| {
         match args[*i].as_str() {
             "--trace" => trace = true,
             "--lint" => lint = true,
-            "--coi" => coi = true,
             "--heap" => heap = true,
             "--strategy" => {
                 *i += 1;
@@ -608,11 +596,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let session = TeleSession::new(&opts)?;
     if lint {
         lint_to_stderr(file, opts.budget.to_budget());
-    }
-    if coi {
-        if let Some(code) = check_with_coi(file, &opts, &session, trace, heap, strategy)? {
-            return Ok(code);
-        }
     }
     let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
         Ok(compiled) => compiled,
@@ -697,181 +680,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     Ok(if all_hold { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
-/// Parses and flattens `path` quietly for `--coi` planning and
-/// `smc deps`. `None` on any read/parse/flatten problem — `--coi`
-/// callers then fall back to the ordinary loader, which owns the
-/// diagnostics rendering.
-fn coi_module_for(path: &str) -> Option<smc::smv::Module> {
-    let source = std::fs::read_to_string(path).ok()?;
-    let program = smc::smv::parse(&source).ok()?;
-    smc::smv::flatten(&program).ok()
-}
-
-/// The `smc check --coi` fast path: plan per-spec cones, print one
-/// report line per spec to stderr, and check each SPEC on its sliced
-/// model (fallback specs share one full compile). The stdout verdict
-/// lines are byte-identical to a run without `--coi`.
-///
-/// Returns `Ok(None)` when the run must fall back to the ordinary
-/// full-model path: the model does not parse, there are no specs,
-/// nothing slices, traces were requested (they render every variable),
-/// or some compile fails.
-fn check_with_coi(
-    file: &str,
-    opts: &CommonOptions,
-    session: &TeleSession,
-    trace: bool,
-    heap: bool,
-    strategy: CycleStrategy,
-) -> Result<Option<ExitCode>, Box<dyn std::error::Error>> {
-    use smc::smv::{compile_module_with_options, CompileOptions};
-
-    let Some(module) = coi_module_for(file) else { return Ok(None) };
-    let plan = smc::analysis::plan_coi(&module);
-    for spec in &plan.specs {
-        eprintln!("{}", spec.report);
-    }
-    if trace || plan.specs.is_empty() || !plan.any_sliced() {
-        return Ok(None);
-    }
-    // Compile every model up front (sliced specs their slice, fallback
-    // specs one shared full model), so any compile problem can still
-    // fall back before the first verdict prints.
-    let compile = |m: &smc::smv::Module| {
-        compile_module_with_options(
-            m,
-            opts.budget.to_budget(),
-            session.tele.clone(),
-            CompileOptions::default(),
-        )
-    };
-    let mut models: Vec<Option<CompiledModel>> = Vec::with_capacity(plan.specs.len());
-    let mut full: Option<CompiledModel> = None;
-    for spec in &plan.specs {
-        match &spec.module {
-            Some(sliced) => match compile(sliced) {
-                Ok(c) if c.specs.len() == 1 => models.push(Some(c)),
-                _ => return Ok(None),
-            },
-            None => {
-                if full.is_none() {
-                    match compile(&module) {
-                        Ok(c) if c.specs.len() == plan.specs.len() => full = Some(c),
-                        _ => return Ok(None),
-                    }
-                }
-                models.push(None);
-            }
-        }
-    }
-    let mut all_hold = true;
-    for (spec, slot) in plan.specs.iter().zip(models.iter_mut()) {
-        let (compiled, spec_at) = match slot {
-            Some(c) => (c, 0),
-            None => (full.as_mut().expect("fallback model compiled"), spec.index),
-        };
-        let formula = compiled.specs[spec_at].formula.clone();
-        let outcome = {
-            let mut checker = Checker::new(&mut compiled.model).with_strategy(strategy);
-            checker.check(&formula)
-        };
-        match outcome {
-            Ok(v) => {
-                all_hold &= v.holds();
-                println!("SPEC {}: {}", spec.index, if v.holds() { "holds" } else { "FAILS" });
-            }
-            Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-                eprintln!("SPEC {}: not decided", spec.index);
-                if opts.stats {
-                    print_stats(compiled.model.manager());
-                }
-                if heap {
-                    print_heap(compiled.model.manager());
-                }
-                session.record_model(&compiled.model);
-                session.finish();
-                return Ok(Some(report_exhausted(phase, &reason, &partial)));
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    // --stats, --heap and the metrics snapshot report the last manager
-    // used — under COI every spec may run on its own manager.
-    if let Some(c) = models.last().and_then(Option::as_ref).or(full.as_ref()) {
-        if opts.stats {
-            print_stats(c.model.manager());
-        }
-        if heap {
-            print_heap(c.model.manager());
-        }
-        session.record_model(&c.model);
-    }
-    session.finish();
-    Ok(Some(if all_hold { ExitCode::SUCCESS } else { ExitCode::from(1) }))
-}
-
-/// The `smc spec --coi` fast path: seed the cone from the formula's
-/// atoms and check on the sliced model. `Ok(None)` falls back to the
-/// ordinary path (unparseable formula or model, unresolvable atoms, no
-/// sound slice, compile failure).
-fn spec_with_coi(
-    file: &str,
-    formula: &str,
-    opts: &CommonOptions,
-    session: &TeleSession,
-    heap: bool,
-) -> Result<Option<ExitCode>, Box<dyn std::error::Error>> {
-    use smc::smv::{compile_module_with_options, CompileOptions};
-
-    let Ok(ctl) = smc::logic::ctl::parse(formula) else { return Ok(None) };
-    let atoms: Vec<String> =
-        smc::logic::atom_occurrences(&ctl).into_iter().map(|a| a.name).collect();
-    let Some(module) = coi_module_for(file) else { return Ok(None) };
-    let Some((sliced, report)) = smc::analysis::plan_adhoc_coi(&module, &atoms) else {
-        return Ok(None);
-    };
-    eprintln!("{report}");
-    let Ok(mut compiled) = compile_module_with_options(
-        &sliced,
-        opts.budget.to_budget(),
-        session.tele.clone(),
-        CompileOptions::default(),
-    ) else {
-        return Ok(None);
-    };
-    let outcome = {
-        let mut checker = Checker::new(&mut compiled.model);
-        checker.check(&ctl)
-    };
-    match outcome {
-        Ok(v) => {
-            println!("{ctl}: {}", if v.holds() { "holds" } else { "FAILS" });
-            if opts.stats {
-                print_stats(compiled.model.manager());
-            }
-            if heap {
-                print_heap(compiled.model.manager());
-            }
-            session.record_model(&compiled.model);
-            session.finish();
-            Ok(Some(if v.holds() { ExitCode::SUCCESS } else { ExitCode::from(1) }))
-        }
-        Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-            eprintln!("{ctl}: not decided");
-            if opts.stats {
-                print_stats(compiled.model.manager());
-            }
-            if heap {
-                print_heap(compiled.model.manager());
-            }
-            session.record_model(&compiled.model);
-            session.finish();
-            Ok(Some(report_exhausted(phase, &reason, &partial)))
-        }
-        Err(e) => Err(e.into()),
-    }
-}
-
 /// One line of `smc batch` output state: a job the engine ran, or a
 /// manifest entry whose model file could not be read (reported in
 /// place, in manifest order, without aborting the batch).
@@ -922,7 +730,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut workers: usize = 1;
     let mut json = false;
     let mut trace = false;
-    let mut coi = false;
     let mut no_cache = false;
     let mut heap = false;
     let mut cache_dir: Option<std::path::PathBuf> = None;
@@ -942,7 +749,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 }
                 "--json" => json = true,
                 "--trace" => trace = true,
-                "--coi" => coi = true,
                 "--no-cache" => no_cache = true,
                 "--cache-dir" => {
                     *i += 1;
@@ -1017,7 +823,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         timeout: opts.budget.timeout_secs.map(Duration::from_secs),
         node_limit: opts.budget.node_limit,
         max_iters: opts.budget.max_iters,
-        coi,
         cancel: None,
         strategy,
         metrics: session.metrics.clone(),
@@ -1141,7 +946,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut dump_cap: usize = smc::engine::DEFAULT_DUMP_CAP;
     let mut recorder_cap: usize = 0;
     let mut trace = false;
-    let mut coi = false;
     let mut no_cache = false;
     let mut strategy = CycleStrategy::Restart;
     let opts =
@@ -1226,7 +1030,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                         })?;
                 }
                 "--trace" => trace = true,
-                "--coi" => coi = true,
                 "--no-cache" => no_cache = true,
                 "--strategy" => {
                     *i += 1;
@@ -1267,7 +1070,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         timeout: opts.budget.timeout_secs.map(Duration::from_secs),
         node_limit: opts.budget.node_limit,
         max_iters: opts.budget.max_iters,
-        coi,
         cancel: None,
         strategy,
         metrics: metrics.clone(),
@@ -1315,15 +1117,10 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 
 fn cmd_spec(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut lint = false;
-    let mut coi = false;
     let mut heap = false;
     let opts = parse_common(args, |args, i| match args[*i].as_str() {
         "--lint" => {
             lint = true;
-            Ok(true)
-        }
-        "--coi" => {
-            coi = true;
             Ok(true)
         }
         "--heap" => {
@@ -1333,16 +1130,11 @@ fn cmd_spec(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         _ => Ok(false),
     })?;
     let [file, formula] = &opts.positionals[..] else {
-        return Err("usage: smc spec [--lint] [--coi] [--heap] [COMMON] FILE.smv FORMULA".into());
+        return Err("usage: smc spec [--lint] [--heap] [COMMON] FILE.smv FORMULA".into());
     };
     let session = TeleSession::new(&opts)?;
     if lint {
         lint_to_stderr(file, opts.budget.to_budget());
-    }
-    if coi {
-        if let Some(code) = spec_with_coi(file, formula, &opts, &session, heap)? {
-            return Ok(code);
-        }
     }
     let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
         Ok(compiled) => compiled,

@@ -256,23 +256,3 @@ fn empty_or_missing_manifest_is_usage_error() {
     let out = smc().args(["batch", "--jobs", "0", "/x"]).output().expect("runs");
     assert_eq!(out.status.code(), Some(2), "--jobs 0 is rejected");
 }
-
-#[test]
-fn coi_keeps_batch_stdout_identical_and_reports_on_stderr() {
-    let fx = Fixture::new("coi");
-    let run =
-        |extra: &[&str]| smc().arg("batch").args(extra).arg(&fx.manifest).output().expect("runs");
-    let plain = run(&["--jobs", "2", "--no-cache"]);
-    let coi = run(&["--jobs", "2", "--no-cache", "--coi"]);
-    assert_eq!(plain.status.code(), coi.status.code());
-    assert_eq!(
-        String::from_utf8_lossy(&plain.stdout),
-        String::from_utf8_lossy(&coi.stdout),
-        "--coi must not change a byte of batch stdout"
-    );
-    // The COUNTER model's `AF b0` spec needs only b0 of its two
-    // variables, so at least one genuine slice is reported.
-    let stderr = String::from_utf8_lossy(&coi.stderr);
-    assert!(stderr.contains("coi: spec"), "{stderr}");
-    assert!(stderr.contains("sliced away"), "{stderr}");
-}
