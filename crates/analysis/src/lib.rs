@@ -55,8 +55,9 @@ use smc_kripke::KripkeError;
 use smc_obs::{Event, SpanKind, StatsSnapshot, Telemetry};
 use smc_smv::{CompileOptions, SmvError};
 
-/// Knobs for one [`analyze`] run.
-#[derive(Debug, Clone)]
+/// Knobs for one [`analyze`] run. Every run takes every pass; the
+/// default has no budget and telemetry disabled.
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisOptions {
     /// Resource budget installed on the model's manager for the
     /// symbolic and vacuity passes.
@@ -64,28 +65,6 @@ pub struct AnalysisOptions {
     /// Telemetry handle; the run opens a `lint` span and emits one
     /// `diagnostic` event per finding.
     pub telemetry: Telemetry,
-    /// Run the symbolic pass (needs a successful compile).
-    pub symbolic: bool,
-    /// Run the vacuity pass (needs a successful compile).
-    pub vacuity: bool,
-}
-
-impl AnalysisOptions {
-    /// All passes enabled, no budget, telemetry disabled.
-    pub fn full() -> AnalysisOptions {
-        AnalysisOptions { symbolic: true, vacuity: true, ..AnalysisOptions::default() }
-    }
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> AnalysisOptions {
-        AnalysisOptions {
-            budget: None,
-            telemetry: Telemetry::disabled(),
-            symbolic: true,
-            vacuity: true,
-        }
-    }
 }
 
 /// Analyzes one SMV source end to end and returns the sorted report.
@@ -136,10 +115,6 @@ fn analyze_inner(source: &str, opts: &AnalysisOptions) -> Report {
     // only meaningful on a module whose names all resolve.
     dataflow::lint(&module, &mut report);
 
-    if !opts.symbolic && !opts.vacuity {
-        return report;
-    }
-
     let compile_opts = CompileOptions { allow_deadlock: true, record_branches: true };
     let mut compiled = match smc_smv::compile_module_with_options(
         &module,
@@ -157,16 +132,12 @@ fn analyze_inner(source: &str, opts: &AnalysisOptions) -> Report {
         }
     };
 
-    if opts.symbolic {
-        if let Err(symbolic::Exhausted(reason)) = symbolic::run(&mut compiled, &mut report) {
-            report.exhausted = Some(reason);
-            return report;
-        }
+    if let Err(symbolic::Exhausted(reason)) = symbolic::run(&mut compiled, &mut report) {
+        report.exhausted = Some(reason);
+        return report;
     }
-    if opts.vacuity {
-        if let Err(symbolic::Exhausted(reason)) = vacuity::run(&mut compiled, &mut report) {
-            report.exhausted = Some(reason);
-        }
+    if let Err(symbolic::Exhausted(reason)) = vacuity::run(&mut compiled, &mut report) {
+        report.exhausted = Some(reason);
     }
     report
 }
@@ -200,7 +171,7 @@ mod tests {
     }
 
     fn analyze_full(src: &str) -> Report {
-        analyze(src, &AnalysisOptions::full())
+        analyze(src, &AnalysisOptions::default())
     }
 
     #[test]
@@ -408,7 +379,7 @@ mod tests {
     fn budget_trip_reports_exhausted_and_exit_3() {
         let opts = AnalysisOptions {
             budget: Some(Budget::new().with_alloc_limit(1)),
-            ..AnalysisOptions::full()
+            ..AnalysisOptions::default()
         };
         let report = analyze(
             "MODULE main\nVAR c : 0..7;\n\
@@ -435,7 +406,7 @@ mod tests {
         let collected: Arc<Mutex<Vec<Event>>> = Arc::default();
         let tele = Telemetry::new();
         tele.add_sink(Box::new(Collect(Arc::clone(&collected))));
-        let opts = AnalysisOptions { telemetry: tele, ..AnalysisOptions::full() };
+        let opts = AnalysisOptions { telemetry: tele, ..AnalysisOptions::default() };
         let report = analyze("MODULE main\nVAR x : boolean;\nVAR y : boolean;\n", &opts);
         assert!(!report.diagnostics.is_empty());
         let events = collected.lock().expect("collect lock");

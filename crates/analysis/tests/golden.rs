@@ -17,7 +17,7 @@ fn demo_path(name: &str) -> String {
 
 fn analyze_file(name: &str) -> (String, Report) {
     let source = std::fs::read_to_string(demo_path(name)).expect("model file");
-    let report = analyze(&source, &AnalysisOptions::full());
+    let report = analyze(&source, &AnalysisOptions::default());
     (source, report)
 }
 
@@ -167,7 +167,7 @@ fn healthy_models_have_no_false_positives() {
 }
 
 fn analyze_src(source: &str) -> Report {
-    analyze(source, &AnalysisOptions::full())
+    analyze(source, &AnalysisOptions::default())
 }
 
 #[test]

@@ -39,9 +39,9 @@ pub const ALL_FAMILIES: &[&str] = &["mutex", "arbiter2", "seitz", "seitz_smv", "
 /// The `seitz` family's liveness spec, shared by the `seitz_smv` export.
 const SEITZ_SPEC: &str = "AG (tr1 -> AF ta1)";
 
-/// Jobs in the batch family's manifest. Large enough that the pool's
-/// injector/steal machinery actually cycles, small enough for a
-/// sub-second repetition.
+/// Jobs in the batch family's manifest. Large enough that every worker
+/// of the pool takes several jobs, small enough for a sub-second
+/// repetition.
 const BATCH_JOBS: usize = 16;
 
 /// Configuration for one observatory run.
@@ -133,7 +133,6 @@ pub fn run(config: &BenchConfig) -> Result<Vec<FamilyRecord>, String> {
             times.push(t);
             counters = c;
         }
-        let scale = 1.0 + config.inject_slowdown_pct / 100.0;
         let phases = [
             ("compile", times.iter().map(|t| t.compile).collect::<Vec<_>>()),
             ("reach", times.iter().map(|t| t.reach).collect()),
@@ -141,11 +140,7 @@ pub fn run(config: &BenchConfig) -> Result<Vec<FamilyRecord>, String> {
             ("witness", times.iter().map(|t| t.witness).collect()),
         ]
         .into_iter()
-        .map(|(phase, xs)| PhaseRecord {
-            phase: phase.to_string(),
-            median_s: median(&xs) * scale,
-            best_s: best(&xs) * scale,
-        })
+        .map(|(phase, walls)| phase_record(phase, &walls, config.inject_slowdown_pct))
         .collect();
         out.push(FamilyRecord {
             name: name.to_string(),
@@ -158,8 +153,8 @@ pub fn run(config: &BenchConfig) -> Result<Vec<FamilyRecord>, String> {
 }
 
 /// The batch family's fixed 16-job manifest: the embedded SMV models in
-/// a repeating mix, so neighbouring jobs differ and the work-stealing
-/// pool has uneven units to balance.
+/// a repeating mix, so neighbouring jobs differ and the pool's workers
+/// take uneven units.
 fn batch_jobs() -> Vec<smc_engine::Job> {
     let menu = [("mutex", MUTEX_SMV), ("arbiter2", ARBITER2_SMV), ("counter8", COUNTER8_SMV)];
     (0..BATCH_JOBS)
@@ -234,14 +229,9 @@ fn run_batch_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, Str
             })
             .collect();
     }
-    let scale = 1.0 + config.inject_slowdown_pct / 100.0;
     let phases = [("jobs1", walls1), ("jobs4", walls4)]
         .into_iter()
-        .map(|(phase, xs)| PhaseRecord {
-            phase: phase.to_string(),
-            median_s: median(&xs) * scale,
-            best_s: best(&xs) * scale,
-        })
+        .map(|(phase, walls)| phase_record(phase, &walls, config.inject_slowdown_pct))
         .collect::<Vec<_>>();
     let throughput = BATCH_JOBS as f64 / phases[1].best_s.max(1e-9);
     Ok(FamilyRecord {
@@ -349,6 +339,18 @@ fn bench_telemetry(config: &BenchConfig) -> Telemetry {
     tele
 }
 
+/// The ledger record of one phase from its repetitions' walls: best and
+/// median, inflated by `slowdown_pct` (the `--inject-slowdown` test hook;
+/// 0 in real runs).
+fn phase_record(phase: &str, walls: &[f64], slowdown_pct: f64) -> PhaseRecord {
+    let scale = 1.0 + slowdown_pct / 100.0;
+    PhaseRecord {
+        phase: phase.to_string(),
+        median_s: median(walls) * scale,
+        best_s: best(walls) * scale,
+    }
+}
+
 /// Minimum over repetitions: scheduling and frequency noise only ever
 /// inflate a wall time, so the minimum is the most repeatable estimate
 /// of the true cost.
@@ -417,19 +419,17 @@ mod tests {
 
     #[test]
     fn injected_slowdown_scales_the_recorded_times() {
-        let base = BenchConfig {
-            repetitions: 1,
-            families: vec!["mutex".into()],
-            ..BenchConfig::default()
-        };
-        let slowed = BenchConfig { inject_slowdown_pct: 1000.0, ..base.clone() };
-        let fast = run(&base).unwrap();
-        let slow = run(&slowed).unwrap();
-        // Times are noisy between the two runs, but a 11x inflation
-        // dwarfs any plausible jitter on these millisecond workloads.
-        for (fp, sp) in fast[0].phases.iter().zip(&slow[0].phases) {
-            assert!(sp.best_s > fp.best_s * 2.0, "{}: {} !> 2*{}", fp.phase, sp.best_s, fp.best_s);
-        }
+        // Fixed walls, exactly representable, so ×11 is exact: the
+        // scaling is checked apart from any measurement.
+        let walls = [0.5, 0.125, 0.25];
+        let plain = phase_record("check", &walls, 0.0);
+        assert_eq!((plain.best_s, plain.median_s), (0.125, 0.25));
+        let slowed = phase_record("check", &walls, 1000.0);
+        assert_eq!(slowed.phase, "check");
+        assert_eq!((slowed.best_s, slowed.median_s), (1.375, 2.75));
+        // An even count takes the mean of the middle two.
+        let even = phase_record("jobs1", &[0.5, 0.25], 1000.0);
+        assert_eq!((even.best_s, even.median_s), (2.75, 4.125));
     }
 
     #[test]

@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smc_bdd::{Budget, CancelToken};
+use smc_bdd::Budget;
 use smc_checker::{CheckError, Checker, CycleStrategy, Phase};
 use smc_kripke::KripkeError;
+use smc_logic::ctl::Ctl;
 use smc_obs::{Event, EventCtx, FixKind, Metrics, Recorder, Sink, Telemetry};
 use smc_smv::{
     compile_module_with_options, flatten, parse, CompileOptions, CompiledModel, Module, SmvError,
@@ -40,6 +41,62 @@ pub struct Job {
     pub spec: Option<String>,
 }
 
+/// The resource limits of one checking run: the CLI budget flags, a
+/// batch job's limits, or a serve request's quotas.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Limits {
+    /// Wall-clock budget. A batch or serve job's clock starts when the
+    /// job starts executing, not when it was queued.
+    pub timeout: Option<Duration>,
+    /// Live-node bound.
+    pub node_limit: Option<usize>,
+    /// Fixpoint iteration cap.
+    pub max_iters: Option<u64>,
+}
+
+impl Limits {
+    /// A fresh budget, deadline clock starting now, or `None` when
+    /// nothing is limited: an ungoverned run pays nothing for the
+    /// governor.
+    // Inline for the same reason as `check_formulas`: `smc reach` calls
+    // nothing else in the engine.
+    #[inline]
+    pub fn budget(&self) -> Option<Budget> {
+        if *self == Limits::default() {
+            return None;
+        }
+        let mut budget = Budget::default();
+        if let Some(t) = self.timeout {
+            budget = budget.with_timeout(t);
+        }
+        if let Some(n) = self.node_limit {
+            budget = budget.with_node_limit(n);
+        }
+        if let Some(n) = self.max_iters {
+            budget = budget.with_max_iterations(n);
+        }
+        Some(budget)
+    }
+
+    /// Each limit tightened by the request's: the smaller of the two,
+    /// where `None` on a side means unlimited from that side. A serve
+    /// client can ask for less than the server allows, never more.
+    pub fn tighten(self, request: Limits) -> Limits {
+        fn min<T: Ord>(cap: Option<T>, requested: Option<T>) -> Option<T> {
+            match (cap, requested) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, None) => a,
+                (None, b) => b,
+            }
+        }
+        Limits {
+            timeout: min(self.timeout, request.timeout),
+            node_limit: min(self.node_limit, request.node_limit),
+            max_iters: min(self.max_iters, request.max_iters),
+        }
+    }
+}
+
 /// Pool-wide configuration. One instance is shared (by reference)
 /// across all workers; per-job state (budgets, managers, telemetry) is
 /// built fresh inside each job.
@@ -51,18 +108,8 @@ pub struct EngineConfig {
     pub want_trace: bool,
     /// Enable the warm-start artifact cache.
     pub use_cache: bool,
-    /// Per-job wall-clock budget. The clock starts when the job starts
-    /// executing, not when the batch is submitted — a queued job is not
-    /// burning its own deadline.
-    pub timeout: Option<Duration>,
-    /// Per-job live-node bound.
-    pub node_limit: Option<usize>,
-    /// Per-job fixpoint iteration cap.
-    pub max_iters: Option<u64>,
-    /// Fleet-wide cancellation: observed by every job's governor.
-    pub cancel: Option<CancelToken>,
-    /// Witness cycle-closure strategy (as `smc check --strategy`).
-    pub strategy: CycleStrategy,
+    /// Per-job limits (serve: the caps its request quotas tighten).
+    pub limits: Limits,
     /// Shared registry for fleet-level series; disabled is free.
     pub metrics: Metrics,
     /// Persistence directory for the warm-start cache; `None` keeps it
@@ -91,11 +138,7 @@ impl Default for EngineConfig {
             workers: 1,
             want_trace: false,
             use_cache: true,
-            timeout: None,
-            node_limit: None,
-            max_iters: None,
-            cancel: None,
-            strategy: CycleStrategy::default(),
+            limits: Limits::default(),
             metrics: Metrics::disabled(),
             cache_dir: None,
             cache_cap: DEFAULT_CACHE_CAP,
@@ -108,33 +151,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A fresh per-job budget, deadline clock starting now. `None` when
-    /// nothing is limited and no cancel token is installed (ungoverned
-    /// jobs pay zero governor overhead, as in the serial CLI).
-    pub(crate) fn job_budget(&self) -> Option<Budget> {
-        if self.timeout.is_none()
-            && self.node_limit.is_none()
-            && self.max_iters.is_none()
-            && self.cancel.is_none()
-        {
-            return None;
-        }
-        let mut budget = Budget::default();
-        if let Some(t) = self.timeout {
-            budget = budget.with_timeout(t);
-        }
-        if let Some(n) = self.node_limit {
-            budget = budget.with_node_limit(n);
-        }
-        if let Some(n) = self.max_iters {
-            budget = budget.with_max_iterations(n);
-        }
-        if let Some(tok) = &self.cancel {
-            budget = budget.with_cancel_token(tok);
-        }
-        Some(budget)
-    }
-
     /// Builds the warm-start cache this config asks for: disk-backed
     /// when `cache_dir` is set (degrading silently to memory-only if
     /// the directory cannot be created — the cache is an optimization),
@@ -166,7 +182,7 @@ pub struct SpecResult {
     /// Does it hold?
     pub holds: bool,
     /// Counterexample (failing spec) or witness (holding spec), when
-    /// the batch ran with traces on.
+    /// the run asked for traces.
     pub trace: Option<RenderedTrace>,
 }
 
@@ -387,7 +403,7 @@ pub(crate) fn run_job(
     let trace_id = derive_trace_id(source_key(&job.source), index as u64);
     let recorder = (cfg.recorder_cap > 0).then(|| Recorder::new(cfg.recorder_cap));
     let ctx = TraceCtx { trace_id: &trace_id, worker, recorder: recorder.as_ref() };
-    run_job_with(index, job, cfg, cache, cfg.job_budget(), cfg.want_trace, &ctx)
+    run_job_with(index, job, cfg, cache, cfg.limits.budget(), cfg.want_trace, &ctx)
 }
 
 /// Runs one job with an explicit budget, trace policy and request
@@ -424,7 +440,7 @@ pub(crate) fn run_job_with(
             if let Some(plan) = &cfg.fault_plan {
                 compiled.model.manager_mut().inject_faults(plan.clone());
             }
-            let outcome = check_specs(job, cfg, &mut compiled, want_trace);
+            let outcome = check_job(job, &mut compiled, want_trace);
             let stats = compiled.model.manager().stats();
             counters = (stats.cache_lookups, stats.created_nodes);
             if cfg.heap {
@@ -465,17 +481,10 @@ pub(crate) fn run_job_with(
     }
 }
 
-/// Checks the job's formulas against the compiled model, rendering
-/// traces inside the worker (states decode to text here, where the
-/// model's tables live). Raw verdicts are collected first and rendered
-/// after the checker releases its model borrow — the same shape (and
-/// therefore the same work order) as the serial `smc check` loop.
-fn check_specs(
-    job: &Job,
-    cfg: &EngineConfig,
-    compiled: &mut CompiledModel,
-    want_trace: bool,
-) -> JobOutcome {
+/// Maps the job's checking run to its outcome: a bad ad-hoc formula
+/// or an error other than a governor trip is an input error, a trip
+/// keeps the specs decided before it.
+fn check_job(job: &Job, compiled: &mut CompiledModel, want_trace: bool) -> JobOutcome {
     let formulas = match &job.spec {
         Some(text) => match smc_logic::ctl::parse(text) {
             Ok(f) => vec![f],
@@ -488,11 +497,36 @@ fn check_specs(
     if formulas.is_empty() {
         return JobOutcome::NoSpecs;
     }
+    match check_formulas(compiled, &formulas, want_trace, CycleStrategy::default()) {
+        (specs, None) => JobOutcome::Checked { specs },
+        (decided, Some(CheckError::ResourceExhausted { phase, reason, .. })) => {
+            JobOutcome::Exhausted { phase: phase.to_string(), reason: reason.to_string(), decided }
+        }
+        (_, Some(e)) => JobOutcome::InputError { message: e.to_string() },
+    }
+}
+
+/// The checker loop of every command: checks `formulas` in order on
+/// one checker, stopping at the first error, and returns the decided
+/// specs with the error that stopped the loop, if any. With
+/// `want_trace`, each decided spec carries its counterexample or
+/// witness, decoded to text after the checker releases the model.
+// Inline, so `smc check`, `spec` and `inspect` run a copy in the CLI's
+// own code: a call into the engine's code faults in a 64 KiB window of
+// its text, which read as +48 KiB of peak RSS on every `smc check`
+// (x86-64 Linux).
+#[inline]
+pub fn check_formulas(
+    compiled: &mut CompiledModel,
+    formulas: &[Ctl],
+    want_trace: bool,
+    strategy: CycleStrategy,
+) -> (Vec<SpecResult>, Option<CheckError>) {
     let mut raw = Vec::with_capacity(formulas.len());
-    let mut exhausted: Option<(String, String)> = None;
+    let mut error = None;
     {
-        let mut checker = Checker::new(&mut compiled.model).with_strategy(cfg.strategy);
-        for formula in &formulas {
+        let mut checker = Checker::new(&mut compiled.model).with_strategy(strategy);
+        for formula in formulas {
             let outcome = if want_trace {
                 checker.check_with_trace(formula).map(|o| (o.verdict.holds(), o.trace))
             } else {
@@ -500,17 +534,16 @@ fn check_specs(
             };
             match outcome {
                 Ok(r) => raw.push(r),
-                Err(CheckError::ResourceExhausted { phase, reason, .. }) => {
-                    exhausted = Some((phase.to_string(), reason.to_string()));
+                Err(e) => {
+                    error = Some(e);
                     break;
                 }
-                Err(e) => return JobOutcome::InputError { message: e.to_string() },
             }
         }
     }
-    let results: Vec<SpecResult> = raw
+    let results = raw
         .into_iter()
-        .zip(&formulas)
+        .zip(formulas)
         .map(|((holds, trace), formula)| SpecResult {
             formula: formula.to_string(),
             holds,
@@ -520,8 +553,5 @@ fn check_specs(
             }),
         })
         .collect();
-    match exhausted {
-        Some((phase, reason)) => JobOutcome::Exhausted { phase, reason, decided: results },
-        None => JobOutcome::Checked { specs: results },
-    }
+    (results, error)
 }

@@ -13,20 +13,23 @@
 //! per-job verdict, witness trace and work counter bit-identical to a
 //! serial run (`tests in the repo gate exactly this`).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
-//! - [`run_batch`] — the pool: per-worker queues seeded from a shared
-//!   injector, idle workers steal from the back of their siblings'
-//!   queues, results come back in job order.
+//! - [`check_formulas`] — the checker loop: one checker, the formulas in
+//!   order, traces decoded to text. Every job runs it, and so do
+//!   `smc check`, `smc spec` and `smc inspect`.
+//! - [`run_batch`] — the pool: workers take jobs from one shared job
+//!   queue, results come back in job order.
 //! - [`ArtifactCache`] — the warm-start cache: keyed by a content hash
 //!   of the model source, it holds the flattened module and the
 //!   serialized reachable state set of the first successful compile, so
 //!   a repeat job skips both the compile-time totality check and the
 //!   whole reachability fixpoint (its `Reach` iteration count is zero).
 //! - per-job governors — every job gets its **own**
-//!   [`Budget`](smc_bdd::Budget) built at job start (so deadlines are
-//!   per job, not per batch), and a governor trip surfaces as that
-//!   job's [`JobOutcome::Exhausted`] instead of stopping the fleet.
+//!   [`Budget`](smc_bdd::Budget) built from [`Limits`] at job start (so
+//!   deadlines are per job, not per batch), and a governor trip
+//!   surfaces as that job's [`JobOutcome::Exhausted`] instead of
+//!   stopping the fleet.
 //!
 //! Fleet-level series (queue depth, jobs in flight, cache traffic,
 //! per-job wall histograms) land in the caller's shared
@@ -50,8 +53,8 @@ mod wire;
 
 pub use cache::{source_key, ArtifactCache, DEFAULT_CACHE_CAP};
 pub use job::{
-    derive_trace_id, worst_exit, EngineConfig, Job, JobHeap, JobOutcome, JobResult, RenderedTrace,
-    SpecResult,
+    check_formulas, derive_trace_id, worst_exit, EngineConfig, Job, JobHeap, JobOutcome, JobResult,
+    Limits, RenderedTrace, SpecResult,
 };
 pub use manifest::{parse_manifest, Manifest, ManifestEntry, ManifestError};
 pub use pool::run_batch;

@@ -12,8 +12,7 @@
 //!   bound.
 //! - **Per-request quotas.** A request may carry `timeout_ms`,
 //!   `node_limit` and `max_iters`; each is *tightened* against the
-//!   server-wide cap (a client can ask for less than the server allows,
-//!   never more) and layered on a per-request
+//!   server-wide cap ([`Limits::tighten`]) and layered on a per-request
 //!   [`CancelToken`](smc_bdd::CancelToken).
 //! - **Watchdog.** A server-wide watchdog scans the worker slots and
 //!   cancels any job running past the configured limit; the governor
@@ -44,15 +43,15 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use smc_bdd::{Budget, CancelToken};
+use smc_bdd::CancelToken;
 use smc_obs::{DumpMeta, Json, Metrics, Recorder, DEFAULT_RECORDER_CAP, STATUS_SCHEMA_VERSION};
 
 use crate::cache::{source_key, ArtifactCache};
-use crate::job::{derive_trace_id, run_job_with, EngineConfig, Job, JobOutcome, TraceCtx};
-use crate::pool::spawn_worker;
+use crate::job::{derive_trace_id, run_job_with, EngineConfig, Job, JobOutcome, Limits, TraceCtx};
+use crate::pool::{lock, spawn_worker};
 use crate::wire::{job_json_fields, json_escape};
 
 /// Schema version stamped into every serve response line.
@@ -70,7 +69,7 @@ pub type Responder = Arc<Mutex<dyn Write + Send>>;
 #[derive(Debug)]
 pub struct ServerConfig {
     /// The pool/job configuration (workers, server-wide budget caps,
-    /// cache, strategy, metrics).
+    /// cache, metrics).
     pub engine: EngineConfig,
     /// Requests allowed to wait beyond the in-flight workers; total
     /// admitted-but-unfinished work is bounded by `max_queue + workers`.
@@ -216,51 +215,6 @@ fn opt_num(json: &Json, key: &str) -> Result<Option<u64>, String> {
     match json.get(key) {
         None => Ok(None),
         Some(v) => v.as_u64().map(Some).ok_or_else(|| format!("{key:?} must be a number")),
-    }
-}
-
-/// Per-request quotas after tightening against the server-wide caps.
-#[derive(Debug, Clone, Copy, Default)]
-struct Quotas {
-    timeout: Option<Duration>,
-    node_limit: Option<usize>,
-    max_iters: Option<u64>,
-}
-
-/// The smaller of an optional cap and an optional request; `None` on a
-/// side means "unlimited from that side".
-fn tighten<T: Copy + Ord>(cap: Option<T>, requested: Option<T>) -> Option<T> {
-    match (cap, requested) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
-
-impl Quotas {
-    fn derive(engine: &EngineConfig, req: &CheckRequest) -> Quotas {
-        Quotas {
-            timeout: tighten(engine.timeout, req.timeout_ms.map(Duration::from_millis)),
-            node_limit: tighten(engine.node_limit, req.node_limit),
-            max_iters: tighten(engine.max_iters, req.max_iters),
-        }
-    }
-
-    /// The budget for one request. Always governed: the per-request
-    /// cancel token (the watchdog's and drain's lever) is installed even
-    /// when no numeric quota applies.
-    fn to_budget(self, cancel: &CancelToken) -> Budget {
-        let mut b = Budget::default().with_cancel_token(cancel);
-        if let Some(t) = self.timeout {
-            b = b.with_timeout(t);
-        }
-        if let Some(n) = self.node_limit {
-            b = b.with_node_limit(n);
-        }
-        if let Some(n) = self.max_iters {
-            b = b.with_max_iterations(n);
-        }
-        b
     }
 }
 
@@ -420,7 +374,8 @@ struct Admitted {
     trace_id: String,
     job: Job,
     key: u64,
-    quotas: Quotas,
+    /// The request's quotas, tightened against the server-wide caps.
+    limits: Limits,
     want_trace: bool,
     hold_ms: u64,
     out: Responder,
@@ -481,10 +436,6 @@ struct Core<'a> {
     /// The live introspection surface (shared with the HTTP `/status`
     /// thread when the caller wired one in).
     status: StatusBoard,
-}
-
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Writes one response line (lock, write, flush). I/O errors are
@@ -716,7 +667,11 @@ impl<'a> Core<'a> {
             trace_id,
             job: Job { name, source, spec: req.spec.clone() },
             key,
-            quotas: Quotas::derive(&self.cfg.engine, &req),
+            limits: self.cfg.engine.limits.tighten(Limits {
+                timeout: req.timeout_ms.map(Duration::from_millis),
+                node_limit: req.node_limit,
+                max_iters: req.max_iters,
+            }),
             want_trace: req.trace || self.cfg.engine.want_trace,
             hold_ms: req.hold_ms.unwrap_or(0),
             out: Arc::clone(out),
@@ -756,7 +711,9 @@ impl<'a> Core<'a> {
         if item.hold_ms > 0 {
             std::thread::sleep(Duration::from_millis(item.hold_ms.min(10_000)));
         }
-        let budget = item.quotas.to_budget(&cancel);
+        // Always governed: the per-request cancel token (the watchdog's
+        // and drain's lever) is installed even when no quota applies.
+        let budget = item.limits.budget().unwrap_or_default().with_cancel_token(&cancel);
         let started = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job_with(

@@ -7,8 +7,13 @@ use smc_obs::Metrics;
 
 use crate::{
     parse_manifest, run_batch, source_key, worst_exit, ArtifactCache, EngineConfig, Job,
-    JobOutcome, JobResult, ManifestEntry,
+    JobOutcome, JobResult, Limits, ManifestEntry,
 };
+
+/// Limits that cap fixpoint iterations at `n` and nothing else.
+fn max_iters(n: u64) -> Limits {
+    Limits { max_iters: Some(n), ..Limits::default() }
+}
 
 const COUNTER8: &str = include_str!("../../../models/counter8.smv");
 const MUTEX: &str = include_str!("../../../models/mutex.smv");
@@ -145,11 +150,33 @@ fn input_errors_are_per_job_not_fatal() {
 }
 
 #[test]
+fn limits_govern_only_when_bounded_and_tighten_to_the_smaller() {
+    use std::time::Duration;
+    assert!(Limits::default().budget().is_none(), "an unlimited run is ungoverned");
+    assert!(max_iters(5).budget().is_some());
+    let cap = Limits { node_limit: Some(100), max_iters: Some(10), ..Limits::default() };
+    let request = Limits {
+        timeout: Some(Duration::from_millis(5)),
+        node_limit: Some(1_000),
+        max_iters: Some(3),
+    };
+    assert_eq!(
+        cap.tighten(request),
+        Limits {
+            timeout: Some(Duration::from_millis(5)),
+            node_limit: Some(100),
+            max_iters: Some(3)
+        }
+    );
+    assert_eq!(cap.tighten(Limits::default()), cap, "an empty request keeps the caps");
+}
+
+#[test]
 fn a_tripped_governor_is_that_jobs_outcome_only() {
     // One iteration is never enough to reach the counter's fixpoint, so
     // the governed job trips during load-time reachability; the other
     // job (same batch, own manager, own budget) is unaffected.
-    let cfg = EngineConfig { max_iters: Some(1), ..EngineConfig::default() };
+    let cfg = EngineConfig { limits: max_iters(1), ..EngineConfig::default() };
     let results = run_batch(vec![job("governed", COUNTER8)], &cfg);
     let JobOutcome::Exhausted { phase, reason, .. } = &results[0].outcome else {
         panic!("expected Exhausted, got {:?}", results[0].outcome);
@@ -636,7 +663,7 @@ fn per_request_quotas_tighten_against_server_caps() {
     // Server allows plenty of iterations; the request asks for one —
     // the request's tighter quota wins and the job exhausts.
     let cfg = ServerConfig {
-        engine: EngineConfig { max_iters: Some(1_000_000), ..EngineConfig::default() },
+        engine: EngineConfig { limits: max_iters(1_000_000), ..EngineConfig::default() },
         ..ServerConfig::default()
     };
     let (code, lines) = serve_lines(&[check_line(COUNTER8, r#","max_iters":1"#)], &cfg);
@@ -647,7 +674,7 @@ fn per_request_quotas_tighten_against_server_caps() {
     // And the other direction: the server cap stays in force however
     // much the request asks for.
     let tight = ServerConfig {
-        engine: EngineConfig { max_iters: Some(1), ..EngineConfig::default() },
+        engine: EngineConfig { limits: max_iters(1), ..EngineConfig::default() },
         quarantine_after: 0,
         ..ServerConfig::default()
     };
@@ -679,7 +706,7 @@ fn poisonous_sources_are_quarantined_with_their_diagnostic() {
     let metrics = Metrics::new();
     let cfg = ServerConfig {
         engine: EngineConfig {
-            max_iters: Some(1), // every run of this source trips
+            limits: max_iters(1), // every run of this source trips
             metrics: metrics.clone(),
             ..EngineConfig::default()
         },

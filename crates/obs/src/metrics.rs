@@ -108,11 +108,10 @@ const HELP: &[(&str, &str)] = &[
     ("smc_model_trans_nodes", "BDD size of the transition relation."),
     ("smc_batch_jobs_total", "Batch jobs finished, by outcome."),
     ("smc_batch_job_wall_us", "Per-job wall time in microseconds."),
-    ("smc_batch_queue_depth", "Jobs waiting in the batch injector queue."),
+    ("smc_batch_queue_depth", "Jobs waiting in the batch job queue."),
     ("smc_batch_jobs_in_flight", "Jobs currently executing on workers."),
     ("smc_batch_cache_hits_total", "Warm-start artifact cache hits."),
     ("smc_batch_cache_misses_total", "Warm-start artifact cache misses."),
-    ("smc_batch_steals_total", "Jobs taken from another worker's queue."),
     ("smc_batch_cache_evictions_total", "Warm-start artifacts evicted by the LRU size cap."),
     (
         "smc_batch_cache_corrupt_total",

@@ -174,4 +174,28 @@ grep -q 'error\[E002\]' <<<"$err" || { echo "overflow drill: no E002: $err"; exi
 ./target/release/smc deps "$ovf" >/dev/null || { echo "overflow drill: smc deps failed"; exit 1; }
 rm -f "$ovf"
 
+echo "== one-loader drill (check, spec, reach, inspect and dot print one load error) =="
+# Every command that compiles a model loads it through one loader, so a
+# model with an unknown identifier gets the same diagnostic and exit 2
+# from each of them.
+ghost="$(mktemp --suffix=.smv)"
+printf 'MODULE main\nVAR x : boolean;\nSPEC EF ghost\n' > "$ghost"
+ref="$(mktemp)"
+got="$(mktemp)"
+./target/release/smc check "$ghost" >/dev/null 2>"$ref" && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "one-loader drill: smc check should exit 2, got $rc"; exit 1; }
+grep -q 'error\[E002\]' "$ref" || { echo "one-loader drill: no E002: $(cat "$ref")"; exit 1; }
+for cmd in spec reach inspect dot; do
+    case "$cmd" in
+        spec) args=(spec "$ghost" 'EF TRUE') ;;
+        dot) args=(dot "$ghost" init) ;;
+        *) args=("$cmd" "$ghost") ;;
+    esac
+    ./target/release/smc "${args[@]}" >/dev/null 2>"$got" && rc=0 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "one-loader drill: smc $cmd should exit 2, got $rc"; exit 1; }
+    cmp -s "$ref" "$got" \
+        || { echo "one-loader drill: smc $cmd prints another diagnostic:"; diff "$ref" "$got"; exit 1; }
+done
+rm -f "$ghost" "$ref" "$got"
+
 echo "verify: OK"

@@ -30,9 +30,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use smc::analysis::{analyze, AnalysisOptions, Report};
-use smc::bdd::{BddManager, Budget};
 use smc::bench::observatory::{self, BenchConfig};
-use smc::checker::{CheckError, Checker, CycleStrategy, PartialProgress, Phase, TripReason};
+use smc::checker::{CheckError, CycleStrategy, PartialProgress, Phase, TripReason};
+use smc::engine::{check_formulas, EngineConfig, Limits, SpecResult};
 use smc::kripke::{KripkeError, SymbolicModel};
 use smc::obs::{
     export_chrome, export_speedscope, report_from_jsonl_with, Event, Json, JsonlSink, Ledger,
@@ -89,14 +89,12 @@ USAGE:
     smc check  [--trace] [--lint] [--heap]
                [--strategy restart|stayset] [COMMON] FILE.smv
     smc batch  [--jobs N] [--json] [--trace] [--heap] [--no-cache]
-               [--cache-dir DIR] [--cache-cap N]
-               [--strategy restart|stayset] [COMMON] MANIFEST
+               [--cache-dir DIR] [--cache-cap N] [COMMON] MANIFEST
     smc serve  [--jobs N] [--listen ADDR] [--metrics-addr ADDR]
                [--max-queue N] [--quarantine-after N] [--watchdog SECS]
                [--drain-timeout SECS] [--retry-after-ms N] [--cache-dir DIR]
                [--cache-cap N] [--dump-dir DIR] [--dump-cap N]
-               [--recorder-cap N] [--trace] [--no-cache]
-               [--strategy restart|stayset] [COMMON]
+               [--recorder-cap N] [--trace] [--no-cache] [COMMON]
     smc spec   [--lint] [--heap] [COMMON] FILE.smv FORMULA
     smc lint   [--json] [COMMON] FILE.smv...
     smc deps   [--dot] FILE.smv
@@ -222,67 +220,31 @@ EXIT CODE: 0 if everything checked holds, 1 if some spec fails (or a
     );
 }
 
-/// Budget flags shared by `check`, `spec` and `reach`.
-#[derive(Debug, Clone, Copy, Default)]
-struct BudgetOptions {
-    timeout_secs: Option<u64>,
-    node_limit: Option<usize>,
-    max_iters: Option<u64>,
+/// Parses the value after a numeric flag: `--max-iters 5`.
+fn number<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} expects a number"))?;
+    v.parse().map_err(|_| format!("{flag} expects a number, got {v:?}"))
 }
 
-impl BudgetOptions {
-    /// Consumes a budget flag at `args[*i]`, advancing `*i` past its
-    /// value. Returns false if `args[*i]` is not a budget flag.
-    fn try_parse(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
-        fn num(name: &str, v: Option<&String>) -> Result<u64, String> {
-            let v = v.ok_or_else(|| format!("{name} expects a number"))?;
-            v.parse::<u64>().map_err(|_| format!("{name} expects a number, got {v:?}"))
-        }
-        match args[*i].as_str() {
-            "--timeout" => {
-                *i += 1;
-                self.timeout_secs = Some(num("--timeout", args.get(*i))?);
-            }
-            "--node-limit" => {
-                *i += 1;
-                self.node_limit = Some(num("--node-limit", args.get(*i))? as usize);
-            }
-            "--max-iters" => {
-                *i += 1;
-                self.max_iters = Some(num("--max-iters", args.get(*i))?);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// The requested budget, or `None` when no budget flag was given (an
-    /// ungoverned run has zero governor overhead). The deadline clock
-    /// starts here.
-    fn to_budget(self) -> Option<Budget> {
-        if self.timeout_secs.is_none() && self.node_limit.is_none() && self.max_iters.is_none() {
-            return None;
-        }
-        let mut budget = Budget::default();
-        if let Some(secs) = self.timeout_secs {
-            budget = budget.with_timeout(Duration::from_secs(secs));
-        }
-        if let Some(n) = self.node_limit {
-            budget = budget.with_node_limit(n);
-        }
-        if let Some(n) = self.max_iters {
-            budget = budget.with_max_iterations(n);
-        }
-        Some(budget)
-    }
+/// Parses the value after a flag that takes a count of at least one:
+/// `--jobs 2`.
+fn positive(flag: &str, v: Option<&String>) -> Result<usize, String> {
+    let v = v.ok_or_else(|| format!("{flag} expects a number"))?;
+    v.parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{flag} expects a positive number, got {v:?}"))
 }
 
-/// Options shared by `check`, `spec` and `reach`: budget, `--stats`,
-/// and the telemetry flags, plus the collected positional arguments.
-/// One parser instead of a copy per command.
+/// Options shared by the commands that load a model, `batch` and
+/// `serve`: the budget flags, `--stats`, and the telemetry flags, plus
+/// the collected positional arguments. One parser instead of a copy per
+/// command.
 #[derive(Debug, Default)]
 struct CommonOptions {
-    budget: BudgetOptions,
+    /// `--timeout`, `--node-limit`, `--max-iters`: the run's budget, or
+    /// each batch job's and the caps of each serve request.
+    limits: Limits,
     stats: bool,
     progress: bool,
     /// `--profile` was given: print the post-run profile report.
@@ -299,7 +261,7 @@ struct CommonOptions {
 
 /// Parses the shared flags; `extra` consumes command-specific flags at
 /// `args[*i]` first (returning true and leaving `*i` on the flag's last
-/// token, like [`BudgetOptions::try_parse`]).
+/// token).
 fn parse_common(
     args: &[String],
     mut extra: impl FnMut(&[String], &mut usize) -> Result<bool, String>,
@@ -307,11 +269,23 @@ fn parse_common(
     let mut o = CommonOptions::default();
     let mut i = 0;
     while i < args.len() {
-        if o.budget.try_parse(args, &mut i)? || extra(args, &mut i)? {
+        if extra(args, &mut i)? {
             i += 1;
             continue;
         }
         match args[i].as_str() {
+            "--timeout" => {
+                i += 1;
+                o.limits.timeout = Some(Duration::from_secs(number("--timeout", args.get(i))?));
+            }
+            "--node-limit" => {
+                i += 1;
+                o.limits.node_limit = Some(number("--node-limit", args.get(i))?);
+            }
+            "--max-iters" => {
+                i += 1;
+                o.limits.max_iters = Some(number("--max-iters", args.get(i))?);
+            }
             "--stats" => o.stats = true,
             "--progress" => o.progress = true,
             "--profile" => {
@@ -344,6 +318,52 @@ fn parse_common(
         i += 1;
     }
     Ok(o)
+}
+
+/// Consumes one of the engine flags `batch` and `serve` share at
+/// `args[*i]` into `engine`, as an `extra` parser of [`parse_common`]:
+/// `--jobs`, `--trace`, `--no-cache`, `--cache-dir` and `--cache-cap`.
+fn parse_engine_flag(
+    engine: &mut EngineConfig,
+    args: &[String],
+    i: &mut usize,
+) -> Result<bool, String> {
+    match args[*i].as_str() {
+        "--jobs" => {
+            *i += 1;
+            engine.workers = positive("--jobs", args.get(*i))?;
+        }
+        "--trace" => engine.want_trace = true,
+        "--no-cache" => engine.use_cache = false,
+        "--cache-dir" => {
+            *i += 1;
+            let v = args.get(*i).ok_or("--cache-dir expects a directory")?;
+            engine.cache_dir = Some(std::path::PathBuf::from(v));
+        }
+        "--cache-cap" => {
+            *i += 1;
+            engine.cache_cap = positive("--cache-cap", args.get(*i))?;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Completes an engine configuration after parsing: the COMMON budget
+/// flags become per-job limits, the fleet series go to `metrics`, and
+/// the `--cache-dir` directory is created.
+fn finish_engine(
+    engine: &mut EngineConfig,
+    opts: &CommonOptions,
+    metrics: Metrics,
+) -> Result<(), String> {
+    engine.limits = opts.limits;
+    engine.metrics = metrics;
+    if let Some(dir) = &engine.cache_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create cache dir {}: {e}", dir.display()))?;
+    }
+    Ok(())
 }
 
 /// The telemetry of one CLI run: the handle handed to the compiler, the
@@ -388,12 +408,26 @@ impl TeleSession {
         Ok(TeleSession { tele, profile, metrics, metrics_path: o.metrics_path.clone() })
     }
 
-    /// Snapshots the authoritative end-of-run numbers (model gauges,
-    /// manager cache/GC counters) into the registry. No-op unless
-    /// `--metrics` was given. Call before [`finish`](Self::finish) on
-    /// any path where a model exists.
-    fn record_model(&self, model: &SymbolicModel) {
+    /// Ends a run that got as far as a model: prints the `--stats`
+    /// counters and the `--heap` report of its manager (also on the
+    /// exit-3 path), snapshots the model gauges and manager counters
+    /// into the registry, and [finishes](Self::finish) the session.
+    fn finish_with_model(&self, model: &SymbolicModel, stats: bool, heap: bool) {
+        if stats {
+            // One aggregate line, one line per operation with cache
+            // traffic and one GC line, the way ablation A3 consumes
+            // them. Rendered from a throwaway registry, so `--stats` and
+            // `--metrics` report from one source of truth.
+            let m = Metrics::new();
+            model.manager().record_metrics(&m);
+            print!("{}", m.render_stats());
+        }
+        if heap {
+            // The same deep scan `smc inspect` runs.
+            print!("{}", model.manager().heap_snapshot(HEAP_TOP_DEFAULT).render_human());
+        }
         model.record_metrics(&self.metrics);
+        self.finish();
     }
 
     /// Flushes the sinks (clears the progress line, drains the trace
@@ -424,80 +458,68 @@ impl TeleSession {
     }
 }
 
+/// A budget trip: the phase it stopped, why, and how far the run got.
+type Trip = (Phase, TripReason, PartialProgress);
+
+/// The budget trip behind `e`, or `e` itself when it is any other
+/// error (which ends the command with exit 2).
+fn into_trip(e: CheckError) -> Result<Trip, CheckError> {
+    match e {
+        CheckError::ResourceExhausted { phase, reason, partial } => Ok((phase, reason, partial)),
+        other => Err(other),
+    }
+}
+
 /// Prints the structured partial-progress report of an exhausted budget
 /// and returns the dedicated exit code 3.
-fn report_exhausted(phase: Phase, reason: &TripReason, partial: &PartialProgress) -> ExitCode {
+fn report_exhausted((phase, reason, partial): Trip) -> ExitCode {
     eprintln!("resource budget exhausted during {phase}: {reason}");
     eprintln!("partial progress: {partial}");
     ExitCode::from(3)
 }
 
-/// Renders the manager counters the way ablation A3 consumes them: one
-/// aggregate line, one line per operation with cache traffic, one GC
-/// line. The table is produced by snapshotting the manager into a
-/// throwaway metrics registry and rendering that, so `--stats` and
-/// `--metrics` report from one source of truth.
-fn print_stats(manager: &BddManager) {
-    let m = Metrics::new();
-    manager.record_metrics(&m);
-    print!("{}", m.render_stats());
-}
-
 /// Default number of widest levels shown by `--heap` and `smc inspect`.
 const HEAP_TOP_DEFAULT: usize = 5;
 
-/// Renders the full heap observatory report for `--heap`: per-level
-/// census, unique/computed table health, sharing, and the sifting-gain
-/// estimate — the same deep scan `smc inspect` runs.
-fn print_heap(manager: &BddManager) {
-    print!("{}", manager.heap_snapshot(HEAP_TOP_DEFAULT).render_human());
-}
-
-/// Why a governed load did not produce a model.
-enum LoadFailure {
-    /// The budget tripped during the load-time reachability (totality)
-    /// check.
-    Exhausted(Phase, TripReason, PartialProgress),
-    /// A parse/semantic/model error, already rendered through the
-    /// diagnostics engine (stable code, source span, snippet). Printed
-    /// to stderr verbatim; exit 2.
-    Diagnostic(String),
-    /// Anything else (I/O).
-    Other(Box<dyn std::error::Error>),
-}
-
-/// Loads and compiles a model with the budget (if any) installed before
-/// the compile-time totality check, so even load-time reachability runs
-/// governed — a tight deadline stops a huge model during loading instead
-/// of hanging before the budget ever applies. The telemetry handle is
-/// installed on the model's BDD manager for the lifetime of the run.
-fn load_governed(
+/// Loads and compiles a model for `check`, `spec`, `reach`, `inspect`
+/// and `dot`. The budget (if any) is installed before the compile-time
+/// totality check, so even load-time reachability runs governed — a
+/// tight deadline stops a huge model during loading instead of hanging
+/// before the budget ever applies. The telemetry handle is installed on
+/// the model's BDD manager for the lifetime of the run.
+///
+/// A model that does not load ends the command with the returned exit
+/// code: an unreadable file or a parse, semantic or model error prints
+/// its diagnostic (stable code, source span, snippet) and exits 2; a
+/// budget trip during the load prints `undecided` (the formula of
+/// `smc spec`) as not decided and the exit-3 report. The session is
+/// finished on both paths that got as far as compiling.
+fn load(
     path: &str,
-    budget: Option<Budget>,
-    tele: Telemetry,
-) -> Result<CompiledModel, LoadFailure> {
-    let source = std::fs::read_to_string(path)
-        .map_err(|e| LoadFailure::Other(format!("cannot read {path:?}: {e}").into()))?;
-    smc::smv::compile_with(&source, budget, tele).map_err(|e| match e {
-        SmvError::Kripke(KripkeError::Exhausted { reason, progress }) => {
-            LoadFailure::Exhausted(Phase::Reachability, reason, progress.into())
-        }
-        other => {
-            let mut report = Report::new();
-            report.push(smc::analysis::smv_diag(&other));
-            LoadFailure::Diagnostic(report.render_human(path, &source))
-        }
-    })
-}
-
-fn load(path: &str) -> Result<CompiledModel, Box<dyn std::error::Error>> {
-    match load_governed(path, None, Telemetry::disabled()) {
+    limits: Limits,
+    session: &TeleSession,
+    undecided: Option<&str>,
+) -> Result<CompiledModel, ExitCode> {
+    let source = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("error: cannot read {path:?}: {e}");
+        ExitCode::from(2)
+    })?;
+    match smc::smv::compile_with(&source, limits.budget(), session.tele.clone()) {
         Ok(compiled) => Ok(compiled),
-        Err(LoadFailure::Exhausted(phase, reason, partial)) => {
-            Err(CheckError::ResourceExhausted { phase, reason, partial }.into())
+        Err(SmvError::Kripke(KripkeError::Exhausted { reason, progress })) => {
+            if let Some(formula) = undecided {
+                eprintln!("{formula}: not decided");
+            }
+            session.finish();
+            Err(report_exhausted((Phase::Reachability, reason, progress.into())))
         }
-        Err(LoadFailure::Diagnostic(text)) => Err(text.into()),
-        Err(LoadFailure::Other(e)) => Err(e),
+        Err(e) => {
+            let mut report = Report::new();
+            report.push(smc::analysis::smv_diag(&e));
+            eprint!("{}", report.render_human(path, &source));
+            session.finish();
+            Err(ExitCode::from(2))
+        }
     }
 }
 
@@ -505,11 +527,11 @@ fn load(path: &str) -> Result<CompiledModel, Box<dyn std::error::Error>> {
 /// fresh compile on its own BDD manager, so the checking run that
 /// follows is bit-for-bit identical to a run without `--lint`. Findings
 /// go to stderr; the caller's verdict and exit code are unaffected.
-fn lint_to_stderr(path: &str, budget: Option<Budget>) {
+fn lint_to_stderr(path: &str, limits: Limits) {
     let Ok(source) = std::fs::read_to_string(path) else {
         return; // the real load reports the I/O problem
     };
-    let opts = AnalysisOptions { budget, ..AnalysisOptions::full() };
+    let opts = AnalysisOptions { budget: limits.budget(), ..AnalysisOptions::default() };
     let report = analyze(&source, &opts);
     if !report.diagnostics.is_empty() || report.exhausted.is_some() {
         eprint!("{}", report.render_human(path, &source));
@@ -544,11 +566,8 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 continue;
             }
         };
-        let aopts = AnalysisOptions {
-            budget: opts.budget.to_budget(),
-            telemetry: session.tele.clone(),
-            ..AnalysisOptions::full()
-        };
+        let aopts =
+            AnalysisOptions { budget: opts.limits.budget(), telemetry: session.tele.clone() };
         let report = analyze(&source, &aopts);
         if json {
             json_reports.push(report.render_json(file, &source));
@@ -595,89 +614,31 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
     let session = TeleSession::new(&opts)?;
     if lint {
-        lint_to_stderr(file, opts.budget.to_budget());
+        lint_to_stderr(file, opts.limits);
     }
-    let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
+    let mut compiled = match load(file, opts.limits, &session, None) {
         Ok(compiled) => compiled,
-        Err(LoadFailure::Exhausted(phase, reason, partial)) => {
-            session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
-        }
-        Err(LoadFailure::Diagnostic(text)) => {
-            eprint!("{text}");
-            session.finish();
-            return Ok(ExitCode::from(2));
-        }
-        Err(LoadFailure::Other(e)) => return Err(e),
+        Err(code) => return Ok(code),
     };
     if compiled.specs.is_empty() {
         session.finish();
         println!("{file}: no SPEC sections");
         return Ok(ExitCode::SUCCESS);
     }
-    let specs: Vec<_> = compiled.specs.iter().map(|s| s.formula.clone()).collect();
-    // Run every check first (the checker borrows the model mutably),
-    // then render with the decode tables. A budget trip stops the loop
-    // but still renders the specs decided so far (and, with --stats,
-    // the manager counters) before exiting 3.
-    let mut results = Vec::with_capacity(specs.len());
-    let mut exhausted: Option<(Phase, TripReason, PartialProgress)> = None;
-    {
-        let mut checker = Checker::new(&mut compiled.model).with_strategy(strategy);
-        for (i, spec) in specs.iter().enumerate() {
-            let outcome = if trace {
-                checker.check_with_trace(spec).map(|o| (o.verdict.holds(), o.trace))
-            } else {
-                checker.check(spec).map(|v| (v.holds(), None))
-            };
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-                    eprintln!("SPEC {i}: not decided");
-                    exhausted = Some((phase, reason, partial));
-                    break;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+    let formulas: Vec<_> = compiled.specs.iter().map(|s| s.formula.clone()).collect();
+    // A budget trip stops the loop but still renders the specs decided
+    // so far (and, with --stats, the manager counters) before exiting 3.
+    let (results, error) = check_formulas(&mut compiled, &formulas, trace, strategy);
+    let trip = error.map(into_trip).transpose()?;
+    if trip.is_some() {
+        eprintln!("SPEC {}: not decided", results.len());
     }
-    let mut all_hold = true;
-    for (i, (verdict, trace)) in results.into_iter().enumerate() {
-        all_hold &= verdict;
-        println!("SPEC {i}: {}", if verdict { "holds" } else { "FAILS" });
-        if let Some(trace) = trace {
-            let kind = if verdict { "witness" } else { "counterexample" };
-            println!(
-                "-- {kind}: {} states{} --",
-                trace.len(),
-                trace
-                    .loopback
-                    .map(|_| format!(", cycle of {}", trace.cycle_len()))
-                    .unwrap_or_default()
-            );
-            for (j, state) in trace.states.iter().enumerate() {
-                if Some(j) == trace.loopback {
-                    println!("-- loop starts here --");
-                }
-                println!("state {j}: {}", compiled.render_state(state));
-            }
-            if let Some(l) = trace.loopback {
-                println!("-- loop back to state {l} --");
-            }
-        }
+    print_spec_results(&results);
+    session.finish_with_model(&compiled.model, opts.stats, heap);
+    if let Some(trip) = trip {
+        return Ok(report_exhausted(trip));
     }
-    if opts.stats {
-        print_stats(compiled.model.manager());
-    }
-    if heap {
-        print_heap(compiled.model.manager());
-    }
-    session.record_model(&compiled.model);
-    session.finish();
-    if let Some((phase, reason, partial)) = exhausted {
-        return Ok(report_exhausted(phase, &reason, &partial));
-    }
-    Ok(if all_hold { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    Ok(if results.iter().all(|s| s.holds) { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
 /// One line of `smc batch` output state: a job the engine ran, or a
@@ -688,10 +649,10 @@ enum BatchLine {
     Unreadable { name: String, message: String },
 }
 
-/// Renders per-spec verdict lines (and traces) exactly the way
-/// `smc check` does, so a batch job's block is comparable line for
+/// Renders per-spec verdict lines (and traces) for `smc check` and for
+/// each `smc batch` job, so a batch job's block is comparable line for
 /// line with a serial run on the same model.
-fn print_spec_results(specs: &[smc::engine::SpecResult]) {
+fn print_spec_results(specs: &[SpecResult]) {
     for (i, s) in specs.iter().enumerate() {
         println!("SPEC {i}: {}", if s.holds { "holds" } else { "FAILS" });
         if let Some(t) = &s.trace {
@@ -725,69 +686,28 @@ use smc::engine::json_escape as json_esc;
 const BATCH_JSON_SCHEMA: u64 = 2;
 
 fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    use smc::engine::{run_batch, EngineConfig, Job, JobOutcome};
+    use smc::engine::{run_batch, Job, JobOutcome};
 
-    let mut workers: usize = 1;
+    let mut cfg = EngineConfig::default();
     let mut json = false;
-    let mut trace = false;
-    let mut no_cache = false;
-    let mut heap = false;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut cache_cap: usize = smc::engine::DEFAULT_CACHE_CAP;
-    let mut strategy = CycleStrategy::Restart;
-    let opts =
-        parse_common(args, |args, i| {
-            match args[*i].as_str() {
-                "--heap" => heap = true,
-                "--jobs" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--jobs expects a number")?;
-                    workers =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--jobs expects a positive number, got {v:?}")
-                        })?;
-                }
-                "--json" => json = true,
-                "--trace" => trace = true,
-                "--no-cache" => no_cache = true,
-                "--cache-dir" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-dir expects a directory")?;
-                    cache_dir = Some(std::path::PathBuf::from(v));
-                }
-                "--cache-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-cap expects a number")?;
-                    cache_cap = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--cache-cap expects a positive number, got {v:?}")
-                    })?;
-                }
-                "--strategy" => {
-                    *i += 1;
-                    match args.get(*i).map(String::as_str) {
-                        Some("restart") => strategy = CycleStrategy::Restart,
-                        Some("stayset") => strategy = CycleStrategy::StaySet,
-                        other => {
-                            return Err(format!(
-                                "--strategy expects 'restart' or 'stayset', got {other:?}"
-                            ))
-                        }
-                    }
-                }
-                _ => return Ok(false),
-            }
-            Ok(true)
-        })?;
+    let opts = parse_common(args, |args, i| {
+        if parse_engine_flag(&mut cfg, args, i)? {
+            return Ok(true);
+        }
+        match args[*i].as_str() {
+            "--heap" => cfg.heap = true,
+            "--json" => json = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
     let [manifest_path] = &opts.positionals[..] else {
         return Err(
             "usage: smc batch [--jobs N] [--json] [--trace] [--no-cache] [COMMON] MANIFEST".into(),
         );
     };
     let session = TeleSession::new(&opts)?;
-    if let Some(dir) = &cache_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create cache dir {}: {e}", dir.display()))?;
-    }
+    finish_engine(&mut cfg, &opts, session.metrics.clone())?;
     let text = std::fs::read_to_string(manifest_path)
         .map_err(|e| format!("cannot read {manifest_path:?}: {e}"))?;
     let manifest = smc::engine::parse_manifest(&text)?;
@@ -816,21 +736,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
     }
 
-    let cfg = EngineConfig {
-        workers,
-        want_trace: trace,
-        use_cache: !no_cache,
-        timeout: opts.budget.timeout_secs.map(Duration::from_secs),
-        node_limit: opts.budget.node_limit,
-        max_iters: opts.budget.max_iters,
-        cancel: None,
-        strategy,
-        metrics: session.metrics.clone(),
-        cache_dir,
-        cache_cap,
-        recorder_cap: 0,
-        heap,
-    };
     let results = run_batch(jobs, &cfg);
     for result in results {
         let slot = origins[result.index];
@@ -919,9 +824,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    use smc::engine::{
-        serve, serve_tcp, spawn_metrics_endpoint, EngineConfig, ServerConfig, StatusBoard,
-    };
+    use smc::engine::{serve, serve_tcp, spawn_metrics_endpoint, ServerConfig, StatusBoard};
 
     fn secs(name: &str, v: Option<&String>) -> Result<Duration, String> {
         let v = v.ok_or_else(|| format!("{name} expects seconds"))?;
@@ -932,121 +835,36 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             .ok_or_else(|| format!("{name} expects positive seconds, got {v:?}"))
     }
 
-    let mut workers: usize = 1;
+    let mut cfg = ServerConfig::default();
     let mut listen: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut max_queue: usize = 64;
-    let mut quarantine_after: u32 = 3;
-    let mut watchdog: Option<Duration> = None;
-    let mut drain_timeout: Option<Duration> = None;
-    let mut retry_after_ms: u64 = 250;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut cache_cap: usize = smc::engine::DEFAULT_CACHE_CAP;
-    let mut dump_dir: Option<std::path::PathBuf> = None;
-    let mut dump_cap: usize = smc::engine::DEFAULT_DUMP_CAP;
-    let mut recorder_cap: usize = 0;
-    let mut trace = false;
-    let mut no_cache = false;
-    let mut strategy = CycleStrategy::Restart;
-    let opts =
-        parse_common(args, |args, i| {
-            match args[*i].as_str() {
-                "--jobs" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--jobs expects a number")?;
-                    workers =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--jobs expects a positive number, got {v:?}")
-                        })?;
-                }
-                "--listen" => {
-                    *i += 1;
-                    listen = Some(args.get(*i).ok_or("--listen expects an address")?.clone());
-                }
-                "--metrics-addr" => {
-                    *i += 1;
-                    metrics_addr =
-                        Some(args.get(*i).ok_or("--metrics-addr expects an address")?.clone());
-                }
-                "--max-queue" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--max-queue expects a number")?;
-                    max_queue = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("--max-queue expects a number, got {v:?}"))?;
-                }
-                "--quarantine-after" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--quarantine-after expects a number")?;
-                    quarantine_after = v
-                        .parse::<u32>()
-                        .map_err(|_| format!("--quarantine-after expects a number, got {v:?}"))?;
-                }
-                "--watchdog" => {
-                    *i += 1;
-                    watchdog = Some(secs("--watchdog", args.get(*i))?);
-                }
-                "--drain-timeout" => {
-                    *i += 1;
-                    drain_timeout = Some(secs("--drain-timeout", args.get(*i))?);
-                }
-                "--retry-after-ms" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--retry-after-ms expects a number")?;
-                    retry_after_ms = v
-                        .parse::<u64>()
-                        .map_err(|_| format!("--retry-after-ms expects a number, got {v:?}"))?;
-                }
-                "--cache-dir" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-dir expects a directory")?;
-                    cache_dir = Some(std::path::PathBuf::from(v));
-                }
-                "--cache-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-cap expects a number")?;
-                    cache_cap = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--cache-cap expects a positive number, got {v:?}")
-                    })?;
-                }
-                "--dump-dir" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--dump-dir expects a directory")?;
-                    dump_dir = Some(std::path::PathBuf::from(v));
-                }
-                "--dump-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--dump-cap expects a number")?;
-                    dump_cap = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--dump-cap expects a positive number, got {v:?}")
-                    })?;
-                }
-                "--recorder-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--recorder-cap expects a number")?;
-                    recorder_cap =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--recorder-cap expects a positive number, got {v:?}")
-                        })?;
-                }
-                "--trace" => trace = true,
-                "--no-cache" => no_cache = true,
-                "--strategy" => {
-                    *i += 1;
-                    match args.get(*i).map(String::as_str) {
-                        Some("restart") => strategy = CycleStrategy::Restart,
-                        Some("stayset") => strategy = CycleStrategy::StaySet,
-                        other => {
-                            return Err(format!(
-                                "--strategy expects 'restart' or 'stayset', got {other:?}"
-                            ))
-                        }
-                    }
-                }
-                _ => return Ok(false),
+    let opts = parse_common(args, |args, i| {
+        if parse_engine_flag(&mut cfg.engine, args, i)? {
+            return Ok(true);
+        }
+        // Every serve-only flag takes one value.
+        let (flag, value) = (args[*i].as_str(), args.get(*i + 1));
+        match flag {
+            "--listen" => listen = Some(value.ok_or("--listen expects an address")?.clone()),
+            "--metrics-addr" => {
+                metrics_addr = Some(value.ok_or("--metrics-addr expects an address")?.clone());
             }
-            Ok(true)
-        })?;
+            "--max-queue" => cfg.max_queue = number(flag, value)?,
+            "--quarantine-after" => cfg.quarantine_after = number(flag, value)?,
+            "--watchdog" => cfg.watchdog = Some(secs(flag, value)?),
+            "--drain-timeout" => cfg.drain_timeout = Some(secs(flag, value)?),
+            "--retry-after-ms" => cfg.retry_after_ms = number(flag, value)?,
+            "--dump-dir" => {
+                let v = value.ok_or("--dump-dir expects a directory")?;
+                cfg.dump_dir = Some(std::path::PathBuf::from(v));
+            }
+            "--dump-cap" => cfg.dump_cap = positive(flag, value)?,
+            "--recorder-cap" => cfg.engine.recorder_cap = positive(flag, value)?,
+            _ => return Ok(false),
+        }
+        *i += 1;
+        Ok(true)
+    })?;
     if !opts.positionals.is_empty() {
         return Err(format!(
             "smc serve takes no positional arguments, got {:?} (requests arrive as NDJSON on stdin or --listen)",
@@ -1059,39 +877,11 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     // --metrics-addr must see real numbers whether or not the final
     // --metrics exposition was requested.
     let metrics = if session.metrics.enabled() { session.metrics.clone() } else { Metrics::new() };
-    if let Some(dir) = &cache_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create cache dir {}: {e}", dir.display()))?;
-    }
-    let engine = EngineConfig {
-        workers,
-        want_trace: trace,
-        use_cache: !no_cache,
-        timeout: opts.budget.timeout_secs.map(Duration::from_secs),
-        node_limit: opts.budget.node_limit,
-        max_iters: opts.budget.max_iters,
-        cancel: None,
-        strategy,
-        metrics: metrics.clone(),
-        cache_dir,
-        cache_cap,
-        recorder_cap,
-        heap: false,
-    };
+    finish_engine(&mut cfg.engine, &opts, metrics.clone())?;
     // One introspection surface shared by {"op":"status"} and the HTTP
     // /status route of the metrics endpoint.
     let status = StatusBoard::new();
-    let cfg = ServerConfig {
-        engine,
-        max_queue,
-        quarantine_after,
-        watchdog,
-        drain_timeout,
-        retry_after_ms,
-        dump_dir,
-        dump_cap,
-        status: Some(status.clone()),
-    };
+    cfg.status = Some(status.clone());
     if let Some(addr) = &metrics_addr {
         let bound = spawn_metrics_endpoint(addr, metrics.clone(), Some(status))
             .map_err(|e| format!("cannot bind metrics endpoint {addr:?}: {e}"))?;
@@ -1134,57 +924,38 @@ fn cmd_spec(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
     let session = TeleSession::new(&opts)?;
     if lint {
-        lint_to_stderr(file, opts.budget.to_budget());
+        lint_to_stderr(file, opts.limits);
     }
-    let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
+    let mut compiled = match load(file, opts.limits, &session, Some(formula)) {
         Ok(compiled) => compiled,
-        Err(LoadFailure::Exhausted(phase, reason, partial)) => {
-            eprintln!("{formula}: not decided");
-            session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
-        }
-        Err(LoadFailure::Diagnostic(text)) => {
-            eprint!("{text}");
-            session.finish();
-            return Ok(ExitCode::from(2));
-        }
-        Err(LoadFailure::Other(e)) => return Err(e),
+        Err(code) => return Ok(code),
     };
     let spec = smc::logic::ctl::parse(formula)?;
-    let mut checker = Checker::new(&mut compiled.model);
-    let verdict = match checker.check(&spec) {
-        Ok(v) => Ok(v),
-        Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-            eprintln!("{spec}: not decided");
-            if opts.stats {
-                print_stats(checker.model().manager());
-            }
-            if heap {
-                print_heap(checker.model().manager());
-            }
-            session.record_model(checker.model());
-            session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
-        }
-        Err(e) => Err(e),
-    }?;
-    println!("{spec}: {}", if verdict.holds() { "holds" } else { "FAILS" });
-    if opts.stats {
-        print_stats(compiled.model.manager());
+    let (results, error) =
+        check_formulas(&mut compiled, std::slice::from_ref(&spec), false, CycleStrategy::default());
+    let trip = error.map(into_trip).transpose()?;
+    let holds = results.iter().all(|r| r.holds);
+    if trip.is_some() {
+        eprintln!("{spec}: not decided");
+    } else {
+        println!("{spec}: {}", if holds { "holds" } else { "FAILS" });
     }
-    if heap {
-        print_heap(compiled.model.manager());
+    session.finish_with_model(&compiled.model, opts.stats, heap);
+    if let Some(trip) = trip {
+        return Ok(report_exhausted(trip));
     }
-    session.record_model(&compiled.model);
-    session.finish();
-    Ok(if verdict.holds() { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    Ok(if holds { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
 fn cmd_dot(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let [file, what] = args else {
         return Err("usage: smc dot FILE.smv (init|trans|reach)".into());
     };
-    let mut compiled = load(file)?;
+    let session = TeleSession::new(&CommonOptions::default())?;
+    let mut compiled = match load(file, Limits::default(), &session, None) {
+        Ok(compiled) => compiled,
+        Err(code) => return Ok(code),
+    };
     let bdd = match what.as_str() {
         "init" => compiled.model.init(),
         "trans" => compiled.model.trans(),
@@ -1274,18 +1045,9 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         return Err("usage: smc reach [COMMON] FILE.smv".into());
     };
     let session = TeleSession::new(&opts)?;
-    let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
+    let mut compiled = match load(file, opts.limits, &session, None) {
         Ok(compiled) => compiled,
-        Err(LoadFailure::Exhausted(phase, reason, partial)) => {
-            session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
-        }
-        Err(LoadFailure::Diagnostic(text)) => {
-            eprint!("{text}");
-            session.finish();
-            return Ok(ExitCode::from(2));
-        }
-        Err(LoadFailure::Other(e)) => return Err(e),
+        Err(code) => return Ok(code),
     };
     println!("file            : {file}");
     println!("variables       : {}", compiled.var_names().join(" "));
@@ -1293,27 +1055,17 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     println!("fairness        : {}", compiled.model.fairness().len());
     match compiled.model.reachable_count() {
         Ok(count) => println!("reachable states: {count}"),
-        Err(e) => match CheckError::from(e) {
-            CheckError::ResourceExhausted { phase, reason, partial } => {
-                if opts.stats {
-                    print_stats(compiled.model.manager());
-                }
-                session.record_model(&compiled.model);
-                session.finish();
-                return Ok(report_exhausted(phase, &reason, &partial));
-            }
-            other => return Err(other.into()),
-        },
+        Err(e) => {
+            let trip = into_trip(e.into())?;
+            session.finish_with_model(&compiled.model, opts.stats, false);
+            return Ok(report_exhausted(trip));
+        }
     }
     let init = compiled.model.init();
     if let Some(s0) = compiled.model.pick_state(init) {
         println!("an initial state: {}", compiled.render_state(&s0));
     }
-    if opts.stats {
-        print_stats(compiled.model.manager());
-    }
-    session.record_model(&compiled.model);
-    session.finish();
+    session.finish_with_model(&compiled.model, opts.stats, false);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1329,12 +1081,7 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
             "--json" => json = true,
             "--top" => {
                 *i += 1;
-                let v = args.get(*i).ok_or("--top expects a number")?;
-                top = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--top expects a positive number, got {v:?}"))?;
+                top = positive("--top", args.get(*i))?;
             }
             "--at" => {
                 *i += 1;
@@ -1375,34 +1122,20 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
         return Err(USAGE.into());
     };
     let session = TeleSession::new(&opts)?;
-    let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
+    let mut compiled = match load(file, opts.limits, &session, None) {
         Ok(compiled) => compiled,
-        Err(LoadFailure::Exhausted(phase, reason, partial)) => {
-            session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
-        }
-        Err(LoadFailure::Diagnostic(text)) => {
-            eprint!("{text}");
-            session.finish();
-            return Ok(ExitCode::from(2));
-        }
-        Err(LoadFailure::Other(e)) => return Err(e),
+        Err(code) => return Ok(code),
     };
     // Drive the manager to the requested point. A budget trip does NOT
     // suppress the report: the heap at trip time is exactly what an
     // inspection is for — the snapshot prints, then the exit-3 path.
-    let mut exhausted: Option<(Phase, TripReason, PartialProgress)> = None;
+    let mut trip = None;
     if at != "compile" {
         if let Err(e) = compiled.model.reachable() {
-            match CheckError::from(e) {
-                CheckError::ResourceExhausted { phase, reason, partial } => {
-                    exhausted = Some((phase, reason, partial));
-                }
-                other => return Err(other.into()),
-            }
+            trip = Some(into_trip(e.into())?);
         }
     }
-    if at == "check" && exhausted.is_none() {
+    if at == "check" && trip.is_none() {
         let formulas: Vec<_> = match spec_index {
             Some(n) => {
                 let spec = compiled.specs.get(n).ok_or_else(|| {
@@ -1415,17 +1148,8 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
             }
             None => compiled.specs.iter().map(|s| s.formula.clone()).collect(),
         };
-        let mut checker = Checker::new(&mut compiled.model);
-        for formula in &formulas {
-            match checker.check(formula) {
-                Ok(_) => {}
-                Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-                    exhausted = Some((phase, reason, partial));
-                    break;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let (_, error) = check_formulas(&mut compiled, &formulas, false, CycleStrategy::default());
+        trip = error.map(into_trip).transpose()?;
     }
     let snapshot = compiled.model.manager().heap_snapshot(top);
     if json {
@@ -1435,10 +1159,9 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
         println!("inspected at    : {at}");
         print!("{}", snapshot.render_human());
     }
-    session.record_model(&compiled.model);
-    session.finish();
-    if let Some((phase, reason, partial)) = exhausted {
-        return Ok(report_exhausted(phase, &reason, &partial));
+    session.finish_with_model(&compiled.model, false, false);
+    if let Some(trip) = trip {
+        return Ok(report_exhausted(trip));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -25,9 +25,10 @@
 //!   Seitz arbiter of the paper's case study,
 //! - [`mod@bench`] — workload generators and the benchmark observatory
 //!   behind `smc bench`,
-//! - [`engine`] — the parallel checking engine behind `smc batch`: a
-//!   work-stealing job pool with per-job governors and a warm-start
-//!   artifact cache.
+//! - [`engine`] — the parallel checking engine behind `smc batch` and
+//!   `smc serve`: one shared job queue for the workers, per-job
+//!   governors, a warm-start artifact cache, and the checker loop every
+//!   checking command runs.
 //!
 //! ## Quickstart
 //!

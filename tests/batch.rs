@@ -36,8 +36,8 @@ struct Fixture {
 }
 
 impl Fixture {
-    /// Six jobs (two rounds over the three models) so a 4-worker pool
-    /// actually has queued work to steal.
+    /// Six jobs (two rounds over the three models) so the workers of a
+    /// 4-worker pool take jobs from a queue that is still non-empty.
     fn new(tag: &str) -> Fixture {
         let models = vec![
             write_temp(&format!("{tag}_toggle"), TOGGLE),

@@ -1032,6 +1032,41 @@ fn coi_flag_is_refused_by_every_command() {
     std::fs::remove_file(manifest).ok();
 }
 
+/// `--strategy` chooses how `smc check` closes witness cycles; batch
+/// and serve check without it and refuse the flag.
+#[test]
+fn strategy_flag_is_refused_by_batch_and_serve() {
+    let pipeline = model("pipeline.smv");
+    let manifest = write_temp("strategy_manifest", &format!("{pipeline}\n"));
+    let manifest = manifest.to_string_lossy().into_owned();
+    let runs: [&[&str]; 2] =
+        [&["batch", "--strategy", "stayset", &manifest], &["serve", "--strategy", "stayset"]];
+    for args in runs {
+        let out = smc().args(args).stdin(std::process::Stdio::null()).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(r#"unknown flag "--strategy""#), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stdout));
+    }
+    std::fs::remove_file(manifest).ok();
+}
+
+/// Every command that loads a model reports a load error the same way:
+/// `smc dot` prints the diagnostic `smc check` prints, with exit 2.
+#[test]
+fn dot_prints_load_diagnostics_as_check_does() {
+    let path = write_temp("dot_diag", "MODULE main\nVAR x : boolean;\nSPEC EF ghost\n");
+    let check = smc().arg("check").arg(&path).output().expect("runs");
+    let dot = smc().arg("dot").arg(&path).arg("init").output().expect("runs");
+    let stderr = String::from_utf8_lossy(&dot.stderr);
+    assert!(stderr.starts_with("error[E002]"), "{stderr}");
+    assert_eq!(dot.status.code(), Some(2));
+    assert_eq!(dot.status.code(), check.status.code());
+    assert_eq!(stderr, String::from_utf8_lossy(&check.stderr));
+    assert!(dot.stdout.is_empty());
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn deps_routes_load_errors_through_diagnostics() {
     let path = write_temp("deps_err", "MODULE main\nVAR x boolean;\n");
