@@ -138,8 +138,8 @@ impl DepGraph {
     }
 
     /// Strongly connected components in reverse topological order
-    /// (callees before callers), each sorted by name — iterative
-    /// Tarjan over the declaration-ordered vertex list.
+    /// (callees before callers), each sorted by name — Tarjan
+    /// ([`smc_kripke::sccs`]) over the declaration-ordered vertex list.
     pub fn sccs(&self) -> Vec<Vec<String>> {
         let index_of: HashMap<&str, usize> =
             self.vars.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
@@ -155,59 +155,15 @@ impl DepGraph {
                     .collect()
             })
             .collect();
-
-        let n = self.vars.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut out: Vec<Vec<String>> = Vec::new();
-
-        // Explicit DFS frames: (vertex, next successor position).
-        for root in 0..n {
-            if index[root] != usize::MAX {
-                continue;
-            }
-            let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-            while let Some(frame) = frames.last_mut() {
-                let (v, pos) = (frame.0, frame.1);
-                if pos == 0 {
-                    index[v] = next_index;
-                    low[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if let Some(&w) = succs[v].get(pos) {
-                    frame.1 += 1;
-                    if index[w] == usize::MAX {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().unwrap_or(v);
-                            on_stack[w] = false;
-                            comp.push(self.vars[w].clone());
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort();
-                        out.push(comp);
-                    }
-                }
-            }
-        }
-        out
+        smc_kripke::sccs(self.vars.len(), |v| &succs[v], |_| true)
+            .into_iter()
+            .map(|comp| {
+                let mut names: Vec<String> =
+                    comp.into_iter().map(|w| self.vars[w].clone()).collect();
+                names.sort();
+                names
+            })
+            .collect()
     }
 
     /// Renders the graph in Graphviz DOT format: one node per variable,
@@ -336,29 +292,46 @@ impl<'m> SupportMap<'m> {
         out
     }
 
+    /// Adds the variables `e` reads to `out`, expanding macros. The walk
+    /// keeps its own stack (a `DEFINE` chain may be longer than the
+    /// thread's) and visits in recursive order, children left to right
+    /// and a macro's body where its name occurs, because the memo of a
+    /// macro met inside a cycle depends on that order.
     fn collect(&self, e: &Expr, out: &mut BTreeSet<String>, expanding: &mut HashSet<String>) {
-        match e {
-            Expr::Ident(name) | Expr::Next(name) => {
-                if self.vars.contains(name.as_str()) {
-                    out.insert(name.clone());
-                } else if let Some(body) = self.defines.get(name.as_str()) {
-                    if let Some(memoized) = self.memo.borrow().get(name.as_str()) {
-                        out.extend(memoized.iter().cloned());
-                        return;
+        enum Step<'e> {
+            Visit(&'e Expr),
+            /// The macro whose body's support is on top of `sets`.
+            Close(&'e str),
+        }
+        let mut steps = vec![Step::Visit(e)];
+        // The support being collected, one set per open macro on top of
+        // the caller's `out`.
+        let mut sets: Vec<BTreeSet<String>> = Vec::new();
+        while let Some(step) = steps.pop() {
+            match step {
+                Step::Visit(Expr::Ident(name) | Expr::Next(name)) => {
+                    let top = sets.last_mut().unwrap_or(&mut *out);
+                    if self.vars.contains(name.as_str()) {
+                        top.insert(name.clone());
+                    } else if let Some(body) = self.defines.get(name.as_str()) {
+                        if let Some(memoized) = self.memo.borrow().get(name.as_str()) {
+                            top.extend(memoized.iter().cloned());
+                        } else if expanding.insert(name.clone()) {
+                            // A macro being expanded contributes nothing
+                            // to itself.
+                            steps.push(Step::Close(name));
+                            steps.push(Step::Visit(body));
+                            sets.push(BTreeSet::new());
+                        }
                     }
-                    if expanding.insert(name.clone()) {
-                        let mut inner = BTreeSet::new();
-                        self.collect(body, &mut inner, expanding);
-                        expanding.remove(name.as_str());
-                        out.extend(inner.iter().cloned());
-                        self.memo.borrow_mut().insert(name.clone(), inner);
-                    }
+                    // Enum symbols and unknown names carry no support.
                 }
-                // Enum symbols and unknown names carry no support.
-            }
-            _ => {
-                for child in e.children() {
-                    self.collect(child, out, expanding);
+                Step::Visit(e) => steps.extend(e.children().into_iter().rev().map(Step::Visit)),
+                Step::Close(name) => {
+                    let inner = sets.pop().unwrap_or_default();
+                    expanding.remove(name);
+                    sets.last_mut().unwrap_or(&mut *out).extend(inner.iter().cloned());
+                    self.memo.borrow_mut().insert(name.to_string(), inner);
                 }
             }
         }

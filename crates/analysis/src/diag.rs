@@ -26,6 +26,7 @@
 //! | W021 | warning  | variable provably frozen at one value |
 //! | W022 | warning  | variable influences no specification (outside every cone) |
 
+use smc_obs::json_escape;
 use smc_smv::Span;
 
 /// How serious a diagnostic is.
@@ -201,9 +202,9 @@ impl Report {
     pub fn render_json(&self, file: &str, source: &str) -> String {
         let lines = LineIndex::new(source);
         let mut out = String::from("{");
-        out.push_str(&format!("\"file\":\"{}\",", esc(file)));
+        out.push_str(&format!("\"file\":\"{}\",", json_escape(file)));
         match &self.exhausted {
-            Some(r) => out.push_str(&format!("\"exhausted\":\"{}\",", esc(r))),
+            Some(r) => out.push_str(&format!("\"exhausted\":\"{}\",", json_escape(r))),
             None => out.push_str("\"exhausted\":null,"),
         }
         out.push_str(&format!(
@@ -219,7 +220,7 @@ impl Report {
                 "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
                 d.code,
                 d.severity.as_str(),
-                esc(&d.message)
+                json_escape(&d.message)
             ));
             match d.span {
                 Some(s) => {
@@ -236,7 +237,7 @@ impl Report {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\"", esc(n)));
+                out.push_str(&format!("\"{}\"", json_escape(n)));
             }
             out.push_str("]}");
         }
@@ -294,23 +295,6 @@ impl LineIndex {
         let end = self.starts.get(line).map_or(source.len(), |e| e - 1);
         source.get(start..end)
     }
-}
-
-/// Minimal JSON string escaping.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

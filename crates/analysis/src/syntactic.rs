@@ -494,41 +494,43 @@ impl<'m> Pass<'m> {
     }
 
     /// DFS over `next_deps`, reporting each dependency cycle once at the
-    /// span of the assignment whose edge closes it.
+    /// span of the assignment whose edge closes it. Roots go in name
+    /// order and edges in assignment order; the walk keeps its own stack,
+    /// since a `next()` chain may be longer than the thread's.
     fn report_next_cycles(&mut self) {
-        /// 1 = on the current DFS path, 2 = fully explored.
-        fn dfs(
-            node: &str,
-            deps: &HashMap<String, Vec<(String, Span)>>,
-            state: &mut HashMap<String, u8>,
-            path: &mut Vec<String>,
-            found: &mut Vec<(Vec<String>, Span)>,
-        ) {
-            state.insert(node.to_string(), 1);
-            path.push(node.to_string());
-            if let Some(edges) = deps.get(node) {
-                for (dep, span) in edges {
-                    match state.get(dep.as_str()).copied().unwrap_or(0) {
-                        0 => dfs(dep, deps, state, path, found),
-                        1 => {
-                            let start = path.iter().position(|n| n == dep).unwrap_or(0);
-                            found.push((path[start..].to_vec(), *span));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            path.pop();
-            state.insert(node.to_string(), 2);
-        }
-
+        let deps = &self.next_deps;
         let mut found: Vec<(Vec<String>, Span)> = Vec::new();
-        let mut state: HashMap<String, u8> = HashMap::new();
-        let mut roots: Vec<String> = self.next_deps.keys().cloned().collect();
+        // Absent = unvisited, 1 = on the current DFS path, 2 = fully
+        // explored.
+        let mut state: HashMap<&str, u8> = HashMap::new();
+        let mut roots: Vec<&String> = deps.keys().collect();
         roots.sort();
         for root in roots {
-            if state.get(root.as_str()).copied().unwrap_or(0) == 0 {
-                dfs(&root, &self.next_deps, &mut state, &mut Vec::new(), &mut found);
+            if state.contains_key(root.as_str()) {
+                continue;
+            }
+            // The current path, each node with its next edge to follow.
+            let mut path: Vec<(&str, usize)> = vec![(root, 0)];
+            state.insert(root, 1);
+            while let Some(&mut (node, ref mut next)) = path.last_mut() {
+                let Some((dep, span)) = deps.get(node).and_then(|edges| edges.get(*next)) else {
+                    state.insert(node, 2);
+                    path.pop();
+                    continue;
+                };
+                *next += 1;
+                match state.get(dep.as_str()) {
+                    None => {
+                        state.insert(dep, 1);
+                        path.push((dep, 0));
+                    }
+                    Some(1) => {
+                        let start = path.iter().position(|(n, _)| n == dep).unwrap_or(0);
+                        let cycle = path[start..].iter().map(|(n, _)| n.to_string()).collect();
+                        found.push((cycle, *span));
+                    }
+                    Some(_) => {}
+                }
             }
         }
         for (cycle, span) in found {

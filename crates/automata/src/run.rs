@@ -76,65 +76,11 @@ impl RunGraph {
         RunGraph { succ, state_of, reachable }
     }
 
-    /// Tarjan SCCs over a node subset. Returns components (singletons
-    /// without self-loop excluded only by the callers).
+    /// Tarjan SCCs ([`smc_kripke::sccs`]) over a node subset. Returns
+    /// components (singletons without self-loop excluded only by the
+    /// callers).
     fn sccs(&self, alive: &[bool]) -> Vec<Vec<usize>> {
-        let n = self.succ.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack = Vec::new();
-        let mut comps = Vec::new();
-        let mut counter = 0;
-        let mut call: Vec<(usize, usize)> = Vec::new();
-        for root in 0..n {
-            if !alive[root] || index[root] != usize::MAX {
-                continue;
-            }
-            index[root] = counter;
-            low[root] = counter;
-            counter += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            call.push((root, 0));
-            while let Some(&(v, next)) = call.last() {
-                if next < self.succ[v].len() {
-                    call.last_mut().expect("nonempty").1 += 1;
-                    let w = self.succ[v][next];
-                    if !alive[w] {
-                        continue;
-                    }
-                    if index[w] == usize::MAX {
-                        index[w] = counter;
-                        low[w] = counter;
-                        counter += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        call.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comps.push(comp);
-                    }
-                }
-            }
-        }
-        comps
+        smc_kripke::sccs(self.succ.len(), |v| &self.succ[v], |v| alive[v])
     }
 
     fn is_nontrivial(&self, comp: &[usize]) -> bool {

@@ -16,16 +16,18 @@
 //! - A [`Bdd`] is a `Copy` handle (a node id) into one manager. Handles
 //!   from different managers must not be mixed; every operation is a method
 //!   on the manager.
-//! - The symmetric connectives ([`BddManager::and`], [`BddManager::or`],
-//!   [`BddManager::xor`]) and negation ([`BddManager::not`]) have
-//!   dedicated memoized recursions with commutativity-normalized cache
-//!   keys; irregular shapes route through the general memoized
-//!   if-then-else ([`BddManager::ite`]). The computed table is a bounded,
+//! - The two-operand connectives ([`BddManager::and`],
+//!   [`BddManager::or`], [`BddManager::xor`], [`BddManager::diff`])
+//!   share one memoized recursion, each with its own cache tag and, for
+//!   the symmetric ones, commutativity-normalized keys; negation
+//!   ([`BddManager::not`]) has its own. Irregular shapes route through
+//!   the general memoized if-then-else ([`BddManager::ite`]). The computed table is a bounded,
 //!   lossy, 2-way set-associative cache (see [`BddManagerStats`] for the
 //!   per-operation hit/eviction counters).
-//! - Quantification ([`BddManager::exists`], [`BddManager::forall`]) and
-//!   the fused relational product ([`BddManager::and_exists`]) operate over
-//!   *cubes* (conjunctions of variables).
+//! - Quantification ([`BddManager::exists`], [`BddManager::forall`], one
+//!   recursion) and the fused relational product
+//!   ([`BddManager::and_exists`]) operate over *cubes* (conjunctions of
+//!   variables).
 //! - Garbage collection is explicit: protect the roots you need with
 //!   [`BddManager::protect`], then call [`BddManager::gc`]. The manager
 //!   never collects behind your back.

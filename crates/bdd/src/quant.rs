@@ -30,14 +30,31 @@ impl BddManager {
     /// Implements the paper's `∃x f = f|x=0 ∨ f|x=1`, generalized to a set
     /// of variables and memoized.
     pub fn exists(&mut self, f: Bdd, cube: Bdd) -> Bdd {
+        self.quantify(true, f, cube)
+    }
+
+    /// Universal quantification `∀ vars . f` over a positive cube.
+    pub fn forall(&mut self, f: Bdd, cube: Bdd) -> Bdd {
+        self.quantify(false, f, cube)
+    }
+
+    /// The one memoized recursion behind [`exists`](Self::exists) and
+    /// [`forall`](Self::forall): a quantified variable joins its cofactors
+    /// with `∨` (`exists`) or `∧`, and stops after the first cofactor when
+    /// that already decides the join (`true` for `∨`, `false` for `∧`). It
+    /// recurses through the quantifier's own entry point, so each compiles
+    /// to its own copy with `exists` a constant.
+    #[inline(always)]
+    fn quantify(&mut self, exists: bool, f: Bdd, cube: Bdd) -> Bdd {
         if self.op_entry() {
             return Bdd::FALSE;
         }
         if f.is_const() || cube.is_true() {
             return f;
         }
-        debug_assert!(self.is_cube(cube), "exists expects a positive cube");
-        let key = (CacheOp::Exists, f.0, cube.0, 0);
+        debug_assert!(self.is_cube(cube), "quantifiers expect a positive cube");
+        let op = if exists { CacheOp::Exists } else { CacheOp::Forall };
+        let key = (op, f.0, cube.0, 0);
         if let Some(hit) = self.cache_get(key) {
             return hit;
         }
@@ -47,66 +64,30 @@ impl BddManager {
         while !c.is_const() && self.level(c) < lf {
             c = self.node(c).hi;
         }
+        let recurse =
+            |m: &mut BddManager, f, c| if exists { m.exists(f, c) } else { m.forall(f, c) };
         let result = if c.is_true() {
             f
         } else {
             let n = self.node(f);
             let lc = self.level(c);
             if lf == lc {
-                // Quantify this variable: disjoin the cofactors.
+                // Quantify this variable: join the cofactors.
                 let rest = self.node(c).hi;
-                let lo = self.exists(n.lo, rest);
-                if lo.is_true() {
-                    Bdd::TRUE
+                let lo = recurse(self, n.lo, rest);
+                if lo == self.constant(exists) {
+                    lo
                 } else {
-                    let hi = self.exists(n.hi, rest);
-                    self.or(lo, hi)
+                    let hi = recurse(self, n.hi, rest);
+                    if exists {
+                        self.or(lo, hi)
+                    } else {
+                        self.and(lo, hi)
+                    }
                 }
             } else {
-                let lo = self.exists(n.lo, c);
-                let hi = self.exists(n.hi, c);
-                self.mk(n.var, lo, hi)
-            }
-        };
-        self.cache_put(key, result);
-        result
-    }
-
-    /// Universal quantification `∀ vars . f` over a positive cube.
-    pub fn forall(&mut self, f: Bdd, cube: Bdd) -> Bdd {
-        if self.op_entry() {
-            return Bdd::FALSE;
-        }
-        if f.is_const() || cube.is_true() {
-            return f;
-        }
-        debug_assert!(self.is_cube(cube), "forall expects a positive cube");
-        let key = (CacheOp::Forall, f.0, cube.0, 0);
-        if let Some(hit) = self.cache_get(key) {
-            return hit;
-        }
-        let lf = self.level(f);
-        let mut c = cube;
-        while !c.is_const() && self.level(c) < lf {
-            c = self.node(c).hi;
-        }
-        let result = if c.is_true() {
-            f
-        } else {
-            let n = self.node(f);
-            let lc = self.level(c);
-            if lf == lc {
-                let rest = self.node(c).hi;
-                let lo = self.forall(n.lo, rest);
-                if lo.is_false() {
-                    Bdd::FALSE
-                } else {
-                    let hi = self.forall(n.hi, rest);
-                    self.and(lo, hi)
-                }
-            } else {
-                let lo = self.forall(n.lo, c);
-                let hi = self.forall(n.hi, c);
+                let lo = recurse(self, n.lo, c);
+                let hi = recurse(self, n.hi, c);
                 self.mk(n.var, lo, hi)
             }
         };

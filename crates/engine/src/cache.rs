@@ -47,6 +47,8 @@ use std::sync::{Arc, Mutex};
 use smc_obs::Metrics;
 use smc_smv::{flatten, parse, Module};
 
+use crate::pool::lock;
+
 /// FNV-1a 64-bit offset basis (`source_key("")`).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -315,11 +317,4 @@ fn decode_artifact(key: u64, bytes: &[u8]) -> Option<Artifact> {
     let program = parse(&source).ok()?;
     let module = flatten(&program).ok()?;
     Some(Artifact { module, source, reach: reach.to_vec() })
-}
-
-/// Poison-recovering lock: a worker that panicked mid-insert leaves the
-/// map in a consistent state (`HashMap` inserts don't tear), and the
-/// cache is an optimization layer that must not spread the panic.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -12,9 +12,9 @@ use std::sync::{Mutex, MutexGuard};
 use crate::job::{run_job, EngineConfig, Job, JobResult};
 use crate::ArtifactCache;
 
-/// Poison-recovering lock for the pool's and the server's shared
-/// state: it holds plain data (no invariants that can tear), and one
-/// panicked job must not wedge the whole pool.
+/// Poison-recovering lock for the pool's, the server's and the
+/// artifact cache's shared state: it holds plain data (no invariants
+/// that can tear), and one panicked job must not wedge the whole pool.
 pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -779,6 +779,13 @@ fn drain_timeout_flushes_the_queue_and_cancels_in_flight() {
 }
 
 #[test]
+fn job_json_escapes_a_carriage_return_as_backslash_r() {
+    let batch = run_batch(vec![job("a\rb", COUNTER8)], &EngineConfig::default());
+    let fields = crate::job_json_fields(&batch[0]);
+    assert!(fields.starts_with(r#""name":"a\rb","#), "{fields}");
+}
+
+#[test]
 fn serve_verdicts_match_the_batch_engine_bit_for_bit() {
     let cfg = ServerConfig::default();
     let (_, lines) = serve_lines(&[check_line(FREEBIT, r#","trace":true"#)], &cfg);

@@ -9,21 +9,7 @@
 
 use crate::job::{JobOutcome, JobResult};
 
-/// Minimal JSON string escaper for the batch/serve wire format.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use smc_obs::json_escape;
 
 /// Renders the body (the fields, no surrounding braces) of one job's
 /// JSON object: name, trace id, outcome, exit class, work counters,

@@ -15,6 +15,9 @@
 //!   explain witness shapes (Figures 1–2 of the paper), and as a
 //!   cross-validation oracle for the symbolic engine.
 //!
+//! [`sccs`] is Tarjan's algorithm over any successor function;
+//! [`tarjan_scc`] and [`condensation`] apply it to explicit models.
+//!
 //! [`SymbolicModelBuilder`] offers a convenient functional-assignment
 //! style for building symbolic models;
 //! [`enumerate`](SymbolicModel::enumerate) converts small symbolic models
@@ -50,7 +53,7 @@ mod symbolic;
 pub use builder::{StateVarId, SymbolicModelBuilder};
 pub use error::{KripkeError, ReachProgress};
 pub use explicit::ExplicitModel;
-pub use scc::{condensation, tarjan_scc, Condensation};
+pub use scc::{condensation, sccs, tarjan_scc, Condensation};
 pub use state::State;
 pub use symbolic::SymbolicModel;
 

@@ -10,13 +10,27 @@
 use crate::explicit::ExplicitModel;
 
 /// Computes the strongly connected components of the model's transition
-/// graph with Tarjan's algorithm (iterative, so deep graphs don't blow
-/// the stack).
+/// graph with Tarjan's algorithm; see [`sccs`].
 ///
 /// Components are returned in **reverse topological order**: every edge of
 /// the condensation goes from a later component to an earlier one.
 pub fn tarjan_scc(model: &ExplicitModel) -> Vec<Vec<usize>> {
-    let n = model.num_states();
+    sccs(model.num_states(), |v| model.successors(v), |_| true)
+}
+
+/// Tarjan's strongly connected components of the graph on the vertices
+/// `0..n` for which `keep` holds, with the edges `succ(v)` that end at
+/// kept vertices. Iterative, so deep graphs don't blow the stack.
+///
+/// Roots are tried in vertex order and successors in `succ` order.
+/// Components come out in **reverse topological order** (every edge
+/// between two components goes from a later one to an earlier one),
+/// each listing its members in the order Tarjan's stack pops them.
+pub fn sccs<'g>(
+    n: usize,
+    succ: impl Fn(usize) -> &'g [usize],
+    keep: impl Fn(usize) -> bool,
+) -> Vec<Vec<usize>> {
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
@@ -24,28 +38,28 @@ pub fn tarjan_scc(model: &ExplicitModel) -> Vec<Vec<usize>> {
     let mut comps: Vec<Vec<usize>> = Vec::new();
     let mut counter = 0usize;
 
-    // Explicit DFS machine: (node, next-successor-position).
+    // Explicit DFS machine: (node, next-successor-position). A frame
+    // numbers its node when it first comes to the top.
     let mut call: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
-        if index[root] != usize::MAX {
+        if !keep(root) || index[root] != usize::MAX {
             continue;
         }
         call.push((root, 0));
-        index[root] = counter;
-        low[root] = counter;
-        counter += 1;
-        stack.push(root);
-        on_stack[root] = true;
         while let Some(&mut (v, ref mut next)) = call.last_mut() {
-            if *next < model.successors(v).len() {
-                let w = model.successors(v)[*next];
+            if *next == 0 {
+                index[v] = counter;
+                low[v] = counter;
+                counter += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succ(v).get(*next) {
                 *next += 1;
+                if !keep(w) {
+                    continue;
+                }
                 if index[w] == usize::MAX {
-                    index[w] = counter;
-                    low[w] = counter;
-                    counter += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
                     call.push((w, 0));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);

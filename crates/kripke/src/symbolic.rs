@@ -25,7 +25,6 @@ pub struct SymbolicModel {
     names: Vec<String>,
     cur: Vec<Var>,
     nxt: Vec<Var>,
-    cur_cube: Bdd,
     nxt_cube: Bdd,
     init: Bdd,
     trans: Bdd,
@@ -35,8 +34,9 @@ pub struct SymbolicModel {
     name_index: HashMap<String, usize>,
     reachable: Option<Bdd>,
     /// Conjunctive partition of `trans` with the early-quantification
-    /// schedules for image/preimage (None = monolithic relation).
-    partition: Option<Partition>,
+    /// schedules for image/preimage; the monolithic relation is the
+    /// one-part partition `[trans]`.
+    partition: Partition,
     /// Disjunctive event split of `trans` for chained reachability.
     events: Events,
 }
@@ -145,8 +145,17 @@ impl SymbolicModel {
         let name_index = names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
         let cur_cube = manager.cube(&cur);
         let nxt_cube = manager.cube(&nxt);
-        // Keep the long-lived structure BDDs safe across user GCs.
+        // Keep the long-lived structure BDDs safe across user GCs. The
+        // model starts on the one-part partition `[trans]`, which
+        // quantifies every current (next) bit at its only part; like any
+        // partition it protects its roots itself, so replacing it leaves
+        // these protected.
         for b in [init, trans, cur_cube, nxt_cube] {
+            manager.protect(b);
+        }
+        let partition =
+            Partition { parts: vec![trans], img_cubes: vec![cur_cube], pre_cubes: vec![nxt_cube] };
+        for b in partition.roots() {
             manager.protect(b);
         }
         for &b in &fairness {
@@ -160,7 +169,6 @@ impl SymbolicModel {
             names,
             cur,
             nxt,
-            cur_cube,
             nxt_cube,
             init,
             trans,
@@ -169,36 +177,32 @@ impl SymbolicModel {
             label_index,
             name_index,
             reachable: None,
-            partition: None,
+            partition,
             events: Events::None,
         })
     }
 
     /// Installs a conjunctive partition of the transition relation
     /// (`⋀ parts` must equal [`trans`](Self::trans)) and precomputes the
-    /// early-quantification schedules. Subsequent [`image`](Self::image)
-    /// and [`preimage`](Self::preimage) calls use the partitioned
-    /// algorithm: after conjoining each part, every variable that occurs
-    /// in no later part is quantified immediately, keeping intermediate
-    /// BDDs small.
+    /// early-quantification schedules. [`image`](Self::image) and
+    /// [`preimage`](Self::preimage) conjoin the parts one at a time: after
+    /// each part, every variable that occurs in no later part is
+    /// quantified immediately, keeping intermediate BDDs small.
     ///
-    /// Pass an empty vector to revert to the monolithic relation. The
-    /// parts and cubes of a replaced or removed partition are released
-    /// to the garbage collector.
+    /// Pass an empty vector to revert to the monolithic relation, the
+    /// one-part partition `[trans]` every model starts with. The parts
+    /// and cubes of a replaced partition are released to the garbage
+    /// collector.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if the conjunction of the parts differs
     /// from the stored transition relation.
     pub fn set_partition(&mut self, parts: Vec<Bdd>) {
-        if let Some(old) = self.partition.take() {
-            for b in old.roots() {
-                self.manager.unprotect(b);
-            }
+        for b in self.partition.roots() {
+            self.manager.unprotect(b);
         }
-        if parts.is_empty() {
-            return;
-        }
+        let parts = if parts.is_empty() { vec![self.trans] } else { parts };
         debug_assert_eq!(
             self.manager.and_all(parts.iter().copied()),
             self.trans,
@@ -224,12 +228,12 @@ impl SymbolicModel {
         for b in partition.roots() {
             self.manager.protect(b);
         }
-        self.partition = Some(partition);
+        self.partition = partition;
     }
 
-    /// Is a conjunctive partition installed?
+    /// Is a partition of more than one part installed?
     pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some()
+        self.partition.parts.len() > 1
     }
 
     /// Installs event guards for chained reachability: each guard `g`
@@ -384,46 +388,33 @@ impl SymbolicModel {
     /// Forward image: the set of successors of `set`,
     /// `Img(S)(v̄) = (∃v̄. S(v̄) ∧ N(v̄, v̄′))[v̄′ := v̄]`.
     ///
-    /// With a [partition](Self::set_partition) installed, conjoins the
-    /// parts one at a time with early quantification.
+    /// Conjoins the [partition](Self::set_partition)'s parts one at a
+    /// time with early quantification of current-state variables.
     pub fn image(&mut self, set: Bdd) -> Bdd {
-        let trans = self.trans;
-        let cur_cube = self.cur_cube;
         // Split-borrow so the partition is read in place (no clone on the
         // hot path) while the manager runs the products.
         let SymbolicModel { manager, partition, .. } = self;
-        let next_img = if let Some(p) = partition.as_ref() {
-            let mut acc = set;
-            for (i, &part) in p.parts.iter().enumerate() {
-                acc = manager.and_exists(acc, part, p.img_cubes[i]);
-            }
-            acc
-        } else {
-            manager.and_exists(set, trans, cur_cube)
-        };
-        self.manager.swap_vars(next_img, &self.cur, &self.nxt)
+        let mut acc = set;
+        for (&part, &cube) in partition.parts.iter().zip(&partition.img_cubes) {
+            acc = manager.and_exists(acc, part, cube);
+        }
+        self.manager.swap_vars(acc, &self.cur, &self.nxt)
     }
 
     /// Backward image: the set of predecessors of `set`,
     /// `Pre(S)(v̄) = ∃v̄′. N(v̄, v̄′) ∧ S(v̄′)`.
     ///
-    /// This is exactly the paper's `CheckEX`. With a
-    /// [partition](Self::set_partition) installed, conjoins the parts one
-    /// at a time with early quantification of next-state variables.
+    /// This is exactly the paper's `CheckEX`. Conjoins the
+    /// [partition](Self::set_partition)'s parts one at a time with early
+    /// quantification of next-state variables.
     pub fn preimage(&mut self, set: Bdd) -> Bdd {
         let primed = self.manager.swap_vars(set, &self.cur, &self.nxt);
-        let trans = self.trans;
-        let nxt_cube = self.nxt_cube;
         let SymbolicModel { manager, partition, .. } = self;
-        if let Some(p) = partition.as_ref() {
-            let mut acc = primed;
-            for (i, &part) in p.parts.iter().enumerate() {
-                acc = manager.and_exists(acc, part, p.pre_cubes[i]);
-            }
-            acc
-        } else {
-            manager.and_exists(trans, primed, nxt_cube)
+        let mut acc = primed;
+        for (&part, &cube) in partition.parts.iter().zip(&partition.pre_cubes) {
+            acc = manager.and_exists(acc, part, cube);
         }
+        acc
     }
 
     /// Restricted backward image: `within ∧ Pre(set)`, computed with the
@@ -443,26 +434,18 @@ impl SymbolicModel {
             return self.preimage(set);
         }
         let primed = self.manager.swap_vars(set, &self.cur, &self.nxt);
-        let trans = self.trans;
-        let nxt_cube = self.nxt_cube;
         let SymbolicModel { manager, partition, .. } = self;
-        let pre = if let Some(p) = partition.as_ref() {
-            // Constraining each part by `within` (current vars only) is
-            // sound: the constrained parts agree with the originals on
-            // `within`, no next-state variable enters any part's support,
-            // so the early-quantification schedule stays valid, and the
-            // final conjunction with `within` restores exactness.
-            let mut acc = primed;
-            for (i, &part) in p.parts.iter().enumerate() {
-                let cpart = manager.constrain(part, within);
-                acc = manager.and_exists(acc, cpart, p.pre_cubes[i]);
-            }
-            acc
-        } else {
-            let ctrans = manager.constrain(trans, within);
-            manager.and_exists(ctrans, primed, nxt_cube)
-        };
-        self.manager.and(within, pre)
+        // Constraining each part by `within` (current vars only) is
+        // sound: the constrained parts agree with the originals on
+        // `within`, no next-state variable enters any part's support, so
+        // the early-quantification schedule stays valid, and the final
+        // conjunction with `within` restores exactness.
+        let mut acc = primed;
+        for (&part, &cube) in partition.parts.iter().zip(&partition.pre_cubes) {
+            let cpart = manager.constrain(part, within);
+            acc = manager.and_exists(acc, cpart, cube);
+        }
+        self.manager.and(within, acc)
     }
 
     /// The reachable state set (least fixpoint of `λZ. S₀ ∨ Img(Z)`),

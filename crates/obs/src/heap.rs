@@ -17,6 +17,7 @@
 //! report `0` and are excluded from the aggregate).
 
 use crate::json::{esc, Json};
+use crate::metrics::fmt_f64;
 
 /// Version stamped into every heap snapshot as `"heap_schema"`.
 pub const HEAP_SCHEMA_VERSION: u64 = 1;
@@ -164,16 +165,6 @@ pub struct HeapSnapshot {
     pub computed: HeapComputed,
     /// Sifting-gain estimate for each adjacent level pair, top first.
     pub sift: Vec<SiftGain>,
-}
-
-/// Formats an `f64` the way the registry does: integral values without
-/// a fraction, everything else via the shortest round-tripping repr.
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
 }
 
 impl HeapSnapshot {

@@ -88,22 +88,37 @@ impl Json {
     }
 }
 
+/// `s` with JSON string escaping: quotes, backslashes and control
+/// characters (`\n`, `\r` and `\t` by name, the rest as `\u00XX`).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    esc(&mut out, s);
+    out
+}
+
 /// Appends `s` to `out` with JSON string escaping (the writer-side dual
-/// of [`Parser::string`]).
+/// of [`Parser::string`]): the workspace's one escaper, behind every
+/// JSON it writes. Runs of bytes that need no escape are copied whole,
+/// since requests to `smc serve` carry whole model sources; every byte
+/// that needs one is ASCII, so no run splits a character.
 pub(crate) fn esc(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
 }
 
 struct Parser<'a> {
@@ -284,6 +299,14 @@ mod tests {
             Some(&Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-3.0)]))
         );
         assert_eq!(j.get("missing"), None);
+    }
+
+    #[test]
+    fn escapes_control_characters_the_parser_reads_back() {
+        let s = "q\"b\\n\nr\rt\tu\u{1}é€";
+        assert_eq!(json_escape(s), r#"q\"b\\n\nr\rt\tu\u0001é€"#);
+        let line = format!("{{\"s\":\"{}\"}}", json_escape(s));
+        assert_eq!(Json::parse(&line).unwrap().get("s").unwrap().as_str(), Some(s));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use heap::{
     HeapCacheOp, HeapComputed, HeapLevel, HeapSnapshot, HeapUnique, HeapWidest, SiftGain,
     HEAP_SAMPLE_CADENCE, HEAP_SCHEMA_VERSION, HEAP_SNAPSHOT_KEYS,
 };
-pub use json::{Json, MAX_JSON_DEPTH};
+pub use json::{json_escape, Json, MAX_JSON_DEPTH};
 pub use ledger::{FamilyRecord, Ledger, PhaseRecord, RunRecord, LEDGER_SCHEMA_VERSION};
 pub use metrics::{metric_help, Metrics, METRICS_SCHEMA_VERSION};
 pub use profile::{report_from_jsonl, report_from_jsonl_with, ProfileAggregator};

@@ -581,8 +581,9 @@ fn json_series(name: &str, labels: &[(String, String)]) -> String {
 }
 
 /// Gauges are f64 but almost always hold integral values; render those
-/// without a fractional part so the exposition stays diff-friendly.
-fn fmt_f64(v: f64) -> String {
+/// without a fractional part so the exposition (and the heap snapshot's
+/// JSON) stays diff-friendly.
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {

@@ -174,6 +174,31 @@ grep -q 'error\[E002\]' <<<"$err" || { echo "overflow drill: no E002: $err"; exi
 ./target/release/smc deps "$ovf" >/dev/null || { echo "overflow drill: smc deps failed"; exit 1; }
 rm -f "$ovf"
 
+echo "== hostile-chain drill (long DEFINE and next() chains are diagnostics, not aborts) =="
+# The analyzer walks a macro chain and a next() chain with its own
+# stack: 30,000 DEFINE links print the dependency graph and lint to the
+# compiler's E002, 50,000 next() links lint to 50,000 E002s. Exit 134
+# would be a stack overflow.
+chain="$(mktemp --suffix=.smv)"
+{
+    printf 'MODULE main\nVAR x : boolean;\nDEFINE d0 := x;\n'
+    seq 1 29999 | while read -r i; do printf 'DEFINE d%d := d%d;\n' "$i" $((i - 1)); done
+    printf 'ASSIGN init(x) := FALSE; next(x) := !x;\nSPEC AG (d29999 | !d29999)\n'
+} > "$chain"
+./target/release/smc deps "$chain" >/dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 0 ] || { echo "chain drill: smc deps on the DEFINE chain should exit 0, got $rc"; exit 1; }
+./target/release/smc lint "$chain" >/dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "chain drill: smc lint on the DEFINE chain should exit 2, got $rc"; exit 1; }
+{
+    printf 'MODULE main\nVAR\n'
+    seq 0 50000 | while read -r i; do printf '  v%d : boolean;\n' "$i"; done
+    printf 'ASSIGN\n'
+    seq 0 49999 | while read -r i; do printf '  next(v%d) := next(v%d);\n' "$i" $((i + 1)); done
+} > "$chain"
+./target/release/smc lint "$chain" >/dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "chain drill: smc lint on the next() chain should exit 2, got $rc"; exit 1; }
+rm -f "$chain"
+
 echo "== one-loader drill (check, spec, reach, inspect and dot print one load error) =="
 # Every command that compiles a model loads it through one loader, so a
 # model with an unknown identifier gets the same diagnostic and exit 2

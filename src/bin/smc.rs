@@ -8,7 +8,7 @@
 //! smc lint   [--json] [COMMON] FILE.smv...        static + symbolic analysis
 //! smc deps   [--dot] FILE.smv                     variable dependency graph
 //! smc reach  [COMMON] FILE.smv                    reachability statistics
-//! smc inspect [--spec N] [--json] [--top K] [--at compile|reach|check]
+//! smc inspect [--spec N] [--json] [--top K] [--at reach|check]
 //!            [COMMON] FILE.smv                    BDD heap observatory
 //! smc bench  [--baseline F] [--update] ...        benchmark observatory
 //! smc profile report FILE.jsonl [--json] [--top N]
@@ -99,7 +99,7 @@ USAGE:
     smc lint   [--json] [COMMON] FILE.smv...
     smc deps   [--dot] FILE.smv
     smc reach  [COMMON] FILE.smv
-    smc inspect [--spec N] [--json] [--top K] [--at compile|reach|check]
+    smc inspect [--spec N] [--json] [--top K] [--at reach|check]
                [COMMON] FILE.smv
     smc dot    FILE.smv (init|trans|reach)
     smc bench  [--baseline FILE] [--update] [--reps N] [--tolerance PCT]
@@ -189,8 +189,8 @@ COMMANDS:
              variables; --dot writes Graphviz DOT instead
     reach    print model statistics (variables, reachable states)
     inspect  the BDD heap observatory: drive the model to a pipeline
-             point (--at compile, reach [default], or check — --spec N
-             checks just that SPEC first) and print a structural report
+             point (--at reach [default] or check — --spec N checks
+             just that SPEC first) and print a structural report
              of the manager's heap: per-level node census with unique-
              table load and probe health, the --top K widest levels,
              computed-table occupancy by operation, dead-node ratio,
@@ -1071,7 +1071,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 
 fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     const USAGE: &str = "usage: smc inspect [--spec N] [--json] [--top K] \
-                         [--at compile|reach|check] [COMMON] FILE.smv";
+                         [--at reach|check] [COMMON] FILE.smv";
     let mut json = false;
     let mut top: usize = HEAP_TOP_DEFAULT;
     let mut at: Option<String> = None;
@@ -1086,12 +1086,8 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
             "--at" => {
                 *i += 1;
                 match args.get(*i).map(String::as_str) {
-                    Some(point @ ("compile" | "reach" | "check")) => at = Some(point.to_string()),
-                    other => {
-                        return Err(format!(
-                            "--at expects 'compile', 'reach' or 'check', got {other:?}"
-                        ))
-                    }
+                    Some(point @ ("reach" | "check")) => at = Some(point.to_string()),
+                    other => return Err(format!("--at expects 'reach' or 'check', got {other:?}")),
                 }
             }
             "--spec" => {
@@ -1130,10 +1126,8 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
     // suppress the report: the heap at trip time is exactly what an
     // inspection is for — the snapshot prints, then the exit-3 path.
     let mut trip = None;
-    if at != "compile" {
-        if let Err(e) = compiled.model.reachable() {
-            trip = Some(into_trip(e.into())?);
-        }
+    if let Err(e) = compiled.model.reachable() {
+        trip = Some(into_trip(e.into())?);
     }
     if at == "check" && trip.is_none() {
         let formulas: Vec<_> = match spec_index {

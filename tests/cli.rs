@@ -674,6 +674,45 @@ fn define_chains_that_use_each_link_twice_check() {
 }
 
 #[test]
+fn deps_and_lint_survive_a_long_define_chain() {
+    // 30,000 links, one macro per link: longer than a thread's stack
+    // allows a recursive walk. deps prints the one variable's graph;
+    // lint reports the compiler's E002 for the expanded depth.
+    let path = write_temp("long_define_chain", &define_chain(30_000));
+    let deps = smc().arg("deps").arg(&path).output().expect("runs");
+    let stdout = String::from_utf8_lossy(&deps.stdout);
+    assert_eq!(deps.status.code(), Some(0), "{}", String::from_utf8_lossy(&deps.stderr));
+    assert!(stdout.contains("spec 0: 1/1 — x"), "{stdout}");
+    let lint = smc().arg("lint").arg(&path).output().expect("runs");
+    let report = String::from_utf8_lossy(&lint.stdout);
+    assert_eq!(lint.status.code(), Some(2), "{report}{}", String::from_utf8_lossy(&lint.stderr));
+    assert!(report.contains("nested deeper than 512 levels once DEFINEs are expanded"), "{report}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn lint_survives_a_long_next_chain() {
+    // `next(v_i) := next(v_{i+1})` over 50,000 links: the W004 cycle
+    // search walks the whole chain in one path.
+    let links = 50_000;
+    let mut source = String::from("MODULE main\nVAR\n");
+    for i in 0..=links {
+        source += &format!("  v{i} : boolean;\n");
+    }
+    source += "ASSIGN\n";
+    for i in 0..links {
+        source += &format!("  next(v{i}) := next(v{});\n", i + 1);
+    }
+    let path = write_temp("long_next_chain", &source);
+    let lint = smc().arg("lint").arg(&path).output().expect("runs");
+    let report = String::from_utf8_lossy(&lint.stdout);
+    assert_eq!(lint.status.code(), Some(2), "{}", String::from_utf8_lossy(&lint.stderr));
+    let summary = report.lines().last().unwrap_or_default();
+    assert!(summary.contains(&format!(": {links} errors,")), "{summary}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn iff_chains_past_the_size_bound_are_refused_in_time() {
     // A left-deep `<->` chain doubles at every link once desugared: 24
     // atoms would be ~134M nodes, so the checker would never finish.
@@ -1134,7 +1173,7 @@ fn inspect_json_round_trips_on_every_bundled_model() {
 
 #[test]
 fn inspect_human_report_names_the_inspection_point() {
-    for at in ["compile", "reach", "check"] {
+    for at in ["reach", "check"] {
         let out = smc()
             .arg("inspect")
             .arg(model("pipeline.smv"))
@@ -1148,6 +1187,20 @@ fn inspect_human_report_names_the_inspection_point() {
         assert!(stdout.contains("-- heap snapshot --"), "--at {at}: {stdout}");
         assert!(stdout.contains("unique tables"), "--at {at}: {stdout}");
     }
+    // Loading already runs reachability, so there is no earlier point.
+    let compile = smc()
+        .arg("inspect")
+        .arg(model("pipeline.smv"))
+        .arg("--at")
+        .arg("compile")
+        .output()
+        .expect("runs");
+    assert_eq!(compile.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&compile.stderr).contains("--at expects 'reach' or 'check'"),
+        "{}",
+        String::from_utf8_lossy(&compile.stderr)
+    );
     // --spec selects one formula and implies --at check...
     let out = smc()
         .arg("inspect")
