@@ -17,6 +17,7 @@
 //! some assignment can move them (or their value cannot be evaluated to
 //! a literal). The result is sound by induction on time.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use smc_smv::{ArithOp, Assign, AssignKind, CaseBranch, Expr, Module, Section, Spec, VarType};
@@ -247,9 +248,60 @@ pub(crate) fn lint(module: &Module, report: &mut Report) {
 struct SupportMap<'m> {
     vars: HashSet<&'m str>,
     defines: HashMap<&'m str, &'m Expr>,
-    /// Per-macro variable support, memoized lazily (cycle-safe: a macro
-    /// currently being expanded contributes nothing to itself).
-    memo: std::cell::RefCell<HashMap<String, BTreeSet<String>>>,
+    /// Every macro's support, built at the first macro met.
+    macros: OnceCell<MacroSupports<'m>>,
+}
+
+/// The variable support of every macro, over the condensation of the
+/// macro graph (macro → macros its body names).
+struct MacroSupports<'m> {
+    /// Each macro's position in `component`.
+    index: HashMap<&'m str, usize>,
+    /// Each macro's component, indexing `supports`.
+    component: Vec<usize>,
+    /// Per component: the variables its macros read, the macros they
+    /// name expanded. The macros of a `DEFINE` cycle share one
+    /// component and so the cycle's union.
+    supports: Vec<BTreeSet<&'m str>>,
+}
+
+impl<'m> MacroSupports<'m> {
+    fn new(vars: &HashSet<&'m str>, defines: &HashMap<&'m str, &'m Expr>) -> MacroSupports<'m> {
+        let index: HashMap<&str, usize> =
+            defines.keys().enumerate().map(|(i, &m)| (m, i)).collect();
+        // Each macro's own variables and the macros its body names.
+        let mut reads = vec![BTreeSet::new(); index.len()];
+        let mut calls = vec![Vec::new(); index.len()];
+        for (&m, &body) in defines {
+            let i = index[m];
+            for_each_name(body, |name| {
+                if vars.contains(name) {
+                    reads[i].insert(name);
+                } else if let Some(&j) = index.get(name) {
+                    calls[i].push(j);
+                }
+            });
+        }
+        // Components come callees first, so every macro a component
+        // names outside itself has its support already.
+        let mut component = vec![usize::MAX; index.len()];
+        let mut supports: Vec<BTreeSet<&str>> = Vec::new();
+        for members in smc_kripke::sccs(index.len(), |i| &calls[i], |_| true) {
+            let id = supports.len();
+            let mut support = BTreeSet::new();
+            for &i in &members {
+                component[i] = id;
+            }
+            for &i in &members {
+                support.extend(&reads[i]);
+                for &j in calls[i].iter().filter(|&&j| component[j] != id) {
+                    support.extend(&supports[component[j]]);
+                }
+            }
+            supports.push(support);
+        }
+        MacroSupports { index, component, supports }
+    }
 }
 
 impl<'m> SupportMap<'m> {
@@ -271,69 +323,49 @@ impl<'m> SupportMap<'m> {
                 _ => {}
             }
         }
-        SupportMap { vars, defines, memo: std::cell::RefCell::new(HashMap::new()) }
+        SupportMap { vars, defines, macros: OnceCell::new() }
     }
 
     /// Variables read by `e`, with `DEFINE` macros expanded.
     fn of_expr(&self, e: &Expr) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        let mut expanding = HashSet::new();
-        self.collect(e, &mut out, &mut expanding);
+        self.collect(e, &mut out);
         out
     }
 
     /// Union of the support of every leaf of a `SPEC`.
     fn of_spec(&self, spec: &Spec) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        let mut expanding = HashSet::new();
         for leaf in spec.leaves() {
-            self.collect(leaf, &mut out, &mut expanding);
+            self.collect(leaf, &mut out);
         }
         out
     }
 
-    /// Adds the variables `e` reads to `out`, expanding macros. The walk
-    /// keeps its own stack (a `DEFINE` chain may be longer than the
-    /// thread's) and visits in recursive order, children left to right
-    /// and a macro's body where its name occurs, because the memo of a
-    /// macro met inside a cycle depends on that order.
-    fn collect(&self, e: &Expr, out: &mut BTreeSet<String>, expanding: &mut HashSet<String>) {
-        enum Step<'e> {
-            Visit(&'e Expr),
-            /// The macro whose body's support is on top of `sets`.
-            Close(&'e str),
-        }
-        let mut steps = vec![Step::Visit(e)];
-        // The support being collected, one set per open macro on top of
-        // the caller's `out`.
-        let mut sets: Vec<BTreeSet<String>> = Vec::new();
-        while let Some(step) = steps.pop() {
-            match step {
-                Step::Visit(Expr::Ident(name) | Expr::Next(name)) => {
-                    let top = sets.last_mut().unwrap_or(&mut *out);
-                    if self.vars.contains(name.as_str()) {
-                        top.insert(name.clone());
-                    } else if let Some(body) = self.defines.get(name.as_str()) {
-                        if let Some(memoized) = self.memo.borrow().get(name.as_str()) {
-                            top.extend(memoized.iter().cloned());
-                        } else if expanding.insert(name.clone()) {
-                            // A macro being expanded contributes nothing
-                            // to itself.
-                            steps.push(Step::Close(name));
-                            steps.push(Step::Visit(body));
-                            sets.push(BTreeSet::new());
-                        }
-                    }
-                    // Enum symbols and unknown names carry no support.
-                }
-                Step::Visit(e) => steps.extend(e.children().into_iter().rev().map(Step::Visit)),
-                Step::Close(name) => {
-                    let inner = sets.pop().unwrap_or_default();
-                    expanding.remove(name);
-                    sets.last_mut().unwrap_or(&mut *out).extend(inner.iter().cloned());
-                    self.memo.borrow_mut().insert(name.to_string(), inner);
-                }
+    /// Adds the variables `e` reads to `out`, expanding macros.
+    fn collect(&self, e: &Expr, out: &mut BTreeSet<String>) {
+        for_each_name(e, |name| {
+            if self.vars.contains(name) {
+                out.insert(name.to_string());
+            } else if self.defines.contains_key(name) {
+                let macros =
+                    self.macros.get_or_init(|| MacroSupports::new(&self.vars, &self.defines));
+                let support = &macros.supports[macros.component[macros.index[name]]];
+                out.extend(support.iter().map(|v| v.to_string()));
             }
+            // Enum symbols and unknown names carry no support.
+        });
+    }
+}
+
+/// Calls `f` on every name `e` mentions, `x` and `next(x)` alike. The
+/// walk keeps its own stack.
+fn for_each_name<'e>(e: &'e Expr, mut f: impl FnMut(&'e str)) {
+    let mut stack = vec![e];
+    while let Some(e) = stack.pop() {
+        match e {
+            Expr::Ident(name) | Expr::Next(name) => f(name),
+            e => stack.extend(e.children()),
         }
     }
 }

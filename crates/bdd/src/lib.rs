@@ -35,10 +35,8 @@
 //!   [`BddManager::sift`]; a target order can be forced with
 //!   [`BddManager::reorder`].
 //! - Don't-care minimization via the generalized cofactor
-//!   ([`BddManager::constrain`]), Graphviz export
-//!   ([`BddManager::to_dot`]) and a text save/load format
-//!   ([`BddManager::write_bdds`] / [`BddManager::read_bdds`]) round out
-//!   the tooling.
+//!   ([`BddManager::constrain`]) and Graphviz export
+//!   ([`BddManager::to_dot`]) round out the tooling.
 //!
 //! ## Example
 //!
@@ -66,7 +64,6 @@ mod faults;
 mod gc;
 mod governor;
 mod heap;
-mod io;
 mod manager;
 mod node;
 mod quant;

@@ -8,7 +8,7 @@
 //! reordering makes memoized results stale.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::error::BddError;
 use crate::node::{Bdd, Node, Var, TERMINAL_VAR};
@@ -479,7 +479,7 @@ impl BddManagerStats {
 // ---------------------------------------------------------------------
 
 /// Epoch-marked scratch shared by every graph walk (`size`, sat
-/// counting, save/export, GC marking). A node is "visited this walk" iff
+/// counting, DOT export, GC marking). A node is "visited this walk" iff
 /// `marks[id] == epoch`; starting a new walk is one increment, not an
 /// allocation.
 #[derive(Debug, Default)]
@@ -548,8 +548,8 @@ pub struct BddManager {
     pub(crate) cache: ComputedCache,
     /// Variable names in creation order.
     var_names: Vec<String>,
-    /// Name -> variable lookup.
-    name_index: HashMap<String, Var>,
+    /// The declared names, so a duplicate is refused.
+    name_index: HashSet<String>,
     /// Variable index -> level in the current order.
     pub(crate) var2level: Vec<u32>,
     /// Level -> variable index in the current order.
@@ -589,7 +589,7 @@ impl BddManager {
             tables: Vec::new(),
             cache: ComputedCache::growing(ComputedCache::INITIAL_CAPACITY),
             var_names: Vec::new(),
-            name_index: HashMap::new(),
+            name_index: HashSet::new(),
             var2level: Vec::new(),
             level2var: Vec::new(),
             protected: HashMap::new(),
@@ -680,12 +680,12 @@ impl BddManager {
     /// Returns [`BddError::DuplicateVarName`] if a variable with the same
     /// name already exists.
     pub fn new_var(&mut self, name: &str) -> Result<Var, BddError> {
-        if self.name_index.contains_key(name) {
+        if self.name_index.contains(name) {
             return Err(BddError::DuplicateVarName(name.to_string()));
         }
         let var = Var(self.var_names.len() as u32);
         self.var_names.push(name.to_string());
-        self.name_index.insert(name.to_string(), var);
+        self.name_index.insert(name.to_string());
         self.var2level.push(self.level2var.len() as u32);
         self.level2var.push(var.0);
         self.tables.push(UniqueTable::new());
@@ -704,11 +704,6 @@ impl BddManager {
     /// Panics if `var` does not belong to this manager.
     pub fn var_name(&self, var: Var) -> &str {
         &self.var_names[var.index()]
-    }
-
-    /// Looks a variable up by name.
-    pub fn var_by_name(&self, name: &str) -> Option<Var> {
-        self.name_index.get(name).copied()
     }
 
     /// Current level (position in the order, 0 = top) of a variable.

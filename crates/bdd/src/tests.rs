@@ -550,132 +550,6 @@ fn sifting_shrinks_an_interleaving_sensitive_function() {
 }
 
 // ---------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------
-
-#[test]
-fn write_read_round_trip() {
-    let (mut m, vars) = manager_with_vars(4);
-    let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-    let x01 = m.xor(lits[0], lits[1]);
-    let a23 = m.and(lits[2], lits[3]);
-    let f = m.or(x01, a23);
-    let g = m.implies(lits[0], a23);
-    // Save under a permuted order to exercise order restoration.
-    m.reorder(&[vars[2], vars[0], vars[3], vars[1]]).unwrap();
-    let mut buffer = Vec::new();
-    m.write_bdds(&mut buffer, &[f, g]).unwrap();
-
-    let (loaded, roots) = BddManager::read_bdds(buffer.as_slice()).unwrap();
-    assert_eq!(roots.len(), 2);
-    assert_eq!(loaded.num_vars(), 4);
-    assert_eq!(loaded.var_name(vars[0]), "x0");
-    assert_eq!(loaded.level_of_var(vars[2]), 0, "order restored");
-    for env in assignments(4) {
-        let expected_f = (env[0] ^ env[1]) || (env[2] && env[3]);
-        let expected_g = !env[0] || (env[2] && env[3]);
-        assert_eq!(loaded.eval(roots[0], &env), expected_f);
-        assert_eq!(loaded.eval(roots[1], &env), expected_g);
-    }
-}
-
-#[test]
-fn read_rejects_malformed_input() {
-    for text in [
-        "",
-        "wrong header\n",
-        "smc-bdd v1\nvars x\n",
-        "smc-bdd v1\nvars 1\nvar a\norder 0\nnodes 1\n2 5 0 1\nroots 0\n",
-        "smc-bdd v1\nvars 1\nvar a\norder 0\nnodes 1\n2 0 7 1\nroots 0\n",
-        "smc-bdd v1\nvars 1\nvar a\norder 0\nnodes 0\nroots 1\n9\n",
-    ] {
-        assert!(BddManager::read_bdds(text.as_bytes()).is_err(), "{text:?}");
-    }
-}
-
-#[test]
-fn written_files_carry_a_verified_checksum_trailer() {
-    let (mut m, vars) = manager_with_vars(3);
-    let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-    let f = m.and(lits[0], lits[2]);
-    let mut buffer = Vec::new();
-    m.write_bdds(&mut buffer, &[f]).unwrap();
-    let text = String::from_utf8(buffer.clone()).unwrap();
-    assert!(text.lines().last().unwrap().starts_with("check "), "{text:?}");
-    // The fresh reader verifies the trailer when present...
-    assert!(BddManager::read_bdds(buffer.as_slice()).is_ok());
-    // ...and rejects content that no longer matches it.
-    let corrupted = text.replace("roots 1", "roots  1");
-    assert!(BddManager::read_bdds(corrupted.as_bytes()).is_err(), "{corrupted:?}");
-}
-
-#[test]
-fn read_into_resolves_vars_by_name_in_the_live_manager() {
-    let (mut m, vars) = manager_with_vars(3);
-    let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-    let x01 = m.xor(lits[0], lits[1]);
-    let f = m.or(x01, lits[2]);
-    let mut buffer = Vec::new();
-    m.write_bdds(&mut buffer, &[f]).unwrap();
-
-    // A second manager declares the same names in a different index
-    // order; name-based resolution must still restore the semantics.
-    let mut other = BddManager::new();
-    for name in ["x2", "x0", "x1"] {
-        other.new_var(name).unwrap();
-    }
-    let roots = other.read_bdds_into(buffer.as_slice()).unwrap();
-    assert_eq!(roots.len(), 1);
-    for env in assignments(3) {
-        // `other`'s index order is (x2, x0, x1).
-        let expected = (env[1] ^ env[2]) || env[0];
-        assert_eq!(other.eval(roots[0], &env), expected);
-    }
-}
-
-#[test]
-fn read_into_requires_trailer_and_known_vars() {
-    let (mut m, vars) = manager_with_vars(2);
-    let lit = m.var(vars[0]);
-    let mut buffer = Vec::new();
-    m.write_bdds(&mut buffer, &[lit]).unwrap();
-    let text = String::from_utf8(buffer).unwrap();
-
-    // Missing trailer: tolerated by the fresh reader, fatal for the
-    // warm-start reader.
-    let no_trailer: String =
-        text.lines().filter(|l| !l.starts_with("check ")).fold(String::new(), |mut acc, l| {
-            acc.push_str(l);
-            acc.push('\n');
-            acc
-        });
-    assert!(BddManager::read_bdds(no_trailer.as_bytes()).is_ok());
-    let (mut same, _) = manager_with_vars(2);
-    assert!(same.read_bdds_into(no_trailer.as_bytes()).is_err());
-
-    // A manager without the file's variables cannot accept the file.
-    let mut strange = BddManager::new();
-    strange.new_var("unrelated").unwrap();
-    assert!(strange.read_bdds_into(text.as_bytes()).is_err());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn prop_io_round_trip_preserves_semantics(expr in arb_expr(ORACLE_VARS)) {
-        let (mut m, vars) = manager_with_vars(ORACLE_VARS);
-        let f = expr.build(&mut m, &vars);
-        let mut buffer = Vec::new();
-        m.write_bdds(&mut buffer, &[f]).unwrap();
-        let (loaded, roots) = BddManager::read_bdds(buffer.as_slice()).unwrap();
-        for env in assignments(ORACLE_VARS) {
-            prop_assert_eq!(loaded.eval(roots[0], &env), expr.eval(&env));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // DOT export
 // ---------------------------------------------------------------------
 

@@ -1,21 +1,13 @@
 //! The warm-start artifact cache.
 //!
 //! Keyed by a content hash of the model **source text**, the cache
-//! holds what the first successful compile of that source learned:
-//!
-//! - the flattened [`Module`] (parse + flatten already done),
-//! - the reachable state set, serialized in the `smc-bdd v1` text
-//!   format with its checksum trailer,
-//! - the source text itself, which is what makes an entry durable: the
-//!   on-disk form stores source + reach bytes and re-derives the module
-//!   on load.
-//!
-//! A warm job deserializes the state set into its own fresh manager
-//! ([`BddManager::read_bdds_into`](smc_bdd::BddManager)) and installs
-//! it with [`SymbolicModel::set_reachable`](smc_kripke::SymbolicModel),
-//! so neither the totality check nor the reachability fixpoint runs
-//! again — the serialized bytes round-trip through the integrity check,
-//! and a corrupted entry is treated as a miss rather than trusted.
+//! maps a source to the flattened [`Module`] of its first successful
+//! compile. A warm job compiles that module with `allow_deadlock`: the
+//! entry exists only because a cold compile of this exact source passed
+//! the totality check, so the warm job skips parse, flatten and the
+//! reachability fixpoint that the check runs. Nothing BDD-shaped is
+//! cached: the checking and witness fixpoints range over all states
+//! and never read the reachable set.
 //!
 //! Only *successful* compiles are cached: a model that failed to parse,
 //! deadlocked, or tripped its budget leaves no artifact behind.
@@ -29,11 +21,13 @@
 //!   process-private `.tmp` name, fsynced, then renamed into place, so
 //!   a crash mid-write can never leave a half-written artifact under
 //!   the real name — at worst an orphaned temp file that is never read.
-//! - **Checksum-verified loads.** The on-disk header carries lengths
-//!   and an FNV-1a checksum over the payload; any mismatch (truncation,
-//!   bit rot, a foreign file under the right name) demotes the entry to
-//!   a miss **and deletes the file**, so one corrupt artifact costs one
-//!   recompile, not a recompile per request forever.
+//! - **Checksum-verified loads.** An artifact on disk is a header line
+//!   (format version, key, source length, FNV-1a checksum) and the
+//!   source, from which a load re-derives the module. Any mismatch
+//!   (truncation, bit rot, a foreign file under the right name, another
+//!   format version) demotes the entry to a miss **and deletes the
+//!   file**, so one corrupt artifact costs one recompile, not a
+//!   recompile per request forever.
 //! - **LRU size cap.** The in-memory map and the disk directory are
 //!   bounded by a least-recently-used cap ([`DEFAULT_CACHE_CAP`] unless
 //!   configured), so an endless stream of distinct models cannot grow
@@ -70,23 +64,10 @@ pub fn source_key(source: &str) -> u64 {
     fnv_update(FNV_OFFSET, source.as_bytes())
 }
 
-/// One cached compile: the flattened module, the source it came from,
-/// and the serialized reachable set (with checksum trailer).
-#[derive(Debug)]
-pub struct Artifact {
-    /// Flattened main module, ready for `compile_module_with_options`.
-    pub module: Module,
-    /// The exact source text the artifact was compiled from (persisted
-    /// so a disk load can re-derive the module).
-    pub source: String,
-    /// `smc-bdd v1` serialization of `[reachable]`.
-    pub reach: Vec<u8>,
-}
-
 /// An in-memory entry with its LRU clock stamp.
 #[derive(Debug)]
 struct Entry {
-    artifact: Arc<Artifact>,
+    module: Arc<Module>,
     last_used: u64,
 }
 
@@ -148,46 +129,46 @@ impl ArtifactCache {
         })
     }
 
-    /// The artifact for `key`, if a job has published one — in this
-    /// process or (for a disk-backed cache) in any earlier one.
-    pub fn get(&self, key: u64) -> Option<Arc<Artifact>> {
+    /// The flattened module for `key`, if a job has published one — in
+    /// this process or (for a disk-backed cache) in any earlier one.
+    pub fn get(&self, key: u64) -> Option<Arc<Module>> {
         let mut store = lock(&self.inner);
         store.tick += 1;
         let tick = store.tick;
         if let Some(entry) = store.map.get_mut(&key) {
             entry.last_used = tick;
-            return Some(Arc::clone(&entry.artifact));
+            return Some(Arc::clone(&entry.module));
         }
         // Lazy disk load: this is what lets a restarted server warm-start
         // from artifacts a previous process persisted. The decode runs
         // under the store lock — it only happens once per key per
         // process, so contention is a restart transient, not steady state.
         let dir = store.dir.clone()?;
-        let artifact = Arc::new(load_from_disk(&dir, key, &store.metrics)?);
-        store.map.insert(key, Entry { artifact: Arc::clone(&artifact), last_used: tick });
+        let module = Arc::new(load_from_disk(&dir, key, &store.metrics)?);
+        store.map.insert(key, Entry { module: Arc::clone(&module), last_used: tick });
         evict_over_cap(&mut store);
-        Some(artifact)
+        Some(module)
     }
 
-    /// Publishes an artifact. First write wins: concurrent jobs on the
-    /// same source race benignly (their artifacts are equivalent —
-    /// compilation is deterministic), and keeping the incumbent means a
-    /// reader never sees an entry change under it. Disk-backed caches
-    /// also persist the artifact (atomically: temp file, fsync, rename);
-    /// persistence failure degrades to memory-only silently — the cache
-    /// is an optimization layer.
-    pub fn insert(&self, key: u64, artifact: Artifact) {
+    /// Publishes the flattened module of `source`, whose content key is
+    /// `key`. First write wins: concurrent jobs on the same source race
+    /// benignly (their modules are equal — flattening is
+    /// deterministic), and keeping the incumbent means a reader never
+    /// sees an entry change under it. Disk-backed caches also persist
+    /// the source (atomically: temp file, fsync, rename); persistence
+    /// failure degrades to memory-only silently — the cache is an
+    /// optimization layer.
+    pub fn insert(&self, key: u64, source: &str, module: Module) {
         let mut store = lock(&self.inner);
         store.tick += 1;
         let tick = store.tick;
         if store.map.contains_key(&key) {
             return;
         }
-        let artifact = Arc::new(artifact);
         if let Some(dir) = store.dir.clone() {
-            let _ = write_to_disk(&dir, key, &artifact);
+            let _ = write_to_disk(&dir, key, source);
         }
-        store.map.insert(key, Entry { artifact, last_used: tick });
+        store.map.insert(key, Entry { module: Arc::new(module), last_used: tick });
         evict_over_cap(&mut store);
     }
 
@@ -223,26 +204,26 @@ fn artifact_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("{key:016x}.smcart"))
 }
 
+/// The header line of the artifact for a source: format version, key,
+/// source length and the source's FNV-1a checksum (which, for a file
+/// that belongs under its name, equals the key).
+fn header(key: u64, source_len: usize, checksum: u64) -> String {
+    format!("smcart 2 {key:016x} {source_len} {checksum:016x}")
+}
+
 /// Writes an artifact durably: process-private temp name, fsync, rename
 /// into place. A crash at any point leaves either the old state or the
 /// complete new file — never a torn artifact under the real name.
-fn write_to_disk(dir: &Path, key: u64, artifact: &Artifact) -> std::io::Result<()> {
+fn write_to_disk(dir: &Path, key: u64, source: &str) -> std::io::Result<()> {
     let path = artifact_path(dir, key);
     if path.exists() {
         return Ok(()); // first (durable) write wins, same as in memory
     }
     let tmp = dir.join(format!("{key:016x}.{}.tmp", std::process::id()));
-    let hash = fnv_update(fnv_update(FNV_OFFSET, artifact.source.as_bytes()), &artifact.reach);
     let result = (|| {
         let mut f = std::fs::File::create(&tmp)?;
-        writeln!(
-            f,
-            "smcart 1 {key:016x} {} {} {hash:016x}",
-            artifact.source.len(),
-            artifact.reach.len()
-        )?;
-        f.write_all(artifact.source.as_bytes())?;
-        f.write_all(&artifact.reach)?;
+        writeln!(f, "{}", header(key, source.len(), source_key(source)))?;
+        f.write_all(source.as_bytes())?;
         f.sync_all()?;
         drop(f);
         std::fs::rename(&tmp, &path)?;
@@ -259,14 +240,14 @@ fn write_to_disk(dir: &Path, key: u64, artifact: &Artifact) -> std::io::Result<(
 }
 
 /// Loads and verifies a disk artifact. Any defect — truncation, header
-/// damage, checksum mismatch, a source that no longer parses — deletes
-/// the file and returns `None` (a miss), so corruption self-heals on
-/// the next cold compile.
-fn load_from_disk(dir: &Path, key: u64, metrics: &Metrics) -> Option<Artifact> {
+/// damage, checksum mismatch, another format version, a source that no
+/// longer parses — deletes the file and returns `None` (a miss), so
+/// corruption self-heals on the next cold compile.
+fn load_from_disk(dir: &Path, key: u64, metrics: &Metrics) -> Option<Module> {
     let path = artifact_path(dir, key);
     let bytes = std::fs::read(&path).ok()?;
     match decode_artifact(key, &bytes) {
-        Some(artifact) => Some(artifact),
+        Some(module) => Some(module),
         None => {
             let _ = std::fs::remove_file(&path);
             metrics.counter_add("smc_batch_cache_corrupt_total", &[], 1);
@@ -275,46 +256,23 @@ fn load_from_disk(dir: &Path, key: u64, metrics: &Metrics) -> Option<Artifact> {
     }
 }
 
-/// Decodes the on-disk format:
+/// Decodes the on-disk format, a header line and the source:
 ///
 /// ```text
-/// smcart 1 <key:016x> <source_len> <reach_len> <payload_fnv:016x>\n
-/// <source bytes><reach bytes>
+/// smcart 2 <key:016x> <source_len> <source_fnv:016x>\n
+/// <source bytes>
 /// ```
 ///
-/// The checksum covers source ++ reach; the reach bytes additionally
-/// carry the `smc-bdd v1` trailer checked again at deserialization.
-fn decode_artifact(key: u64, bytes: &[u8]) -> Option<Artifact> {
+/// The header must be exactly the one the source is written with, and
+/// the source must hash to the key the file is named by: a truncated or
+/// altered file, a foreign one, or one in another format version fails
+/// one or the other.
+fn decode_artifact(key: u64, bytes: &[u8]) -> Option<Module> {
     let nl = bytes.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&bytes[..nl]).ok()?;
-    let mut tokens = header.split_ascii_whitespace();
-    if tokens.next()? != "smcart" || tokens.next()? != "1" {
+    let source = std::str::from_utf8(&bytes[nl + 1..]).ok()?;
+    let checksum = source_key(source);
+    if checksum != key || bytes[..nl] != *header(key, source.len(), checksum).as_bytes() {
         return None;
     }
-    if u64::from_str_radix(tokens.next()?, 16).ok()? != key {
-        return None;
-    }
-    let source_len: usize = tokens.next()?.parse().ok()?;
-    let reach_len: usize = tokens.next()?.parse().ok()?;
-    let hash = u64::from_str_radix(tokens.next()?, 16).ok()?;
-    if tokens.next().is_some() {
-        return None;
-    }
-    let body = bytes.get(nl + 1..)?;
-    if body.len() != source_len.checked_add(reach_len)? {
-        return None;
-    }
-    let (source_bytes, reach) = body.split_at(source_len);
-    if fnv_update(fnv_update(FNV_OFFSET, source_bytes), reach) != hash {
-        return None;
-    }
-    let source = std::str::from_utf8(source_bytes).ok()?.to_string();
-    // The key is the source hash; a payload whose content drifted from
-    // its name is as corrupt as a failed checksum.
-    if source_key(&source) != key {
-        return None;
-    }
-    let program = parse(&source).ok()?;
-    let module = flatten(&program).ok()?;
-    Some(Artifact { module, source, reach: reach.to_vec() })
+    flatten(&parse(source).ok()?).ok()
 }

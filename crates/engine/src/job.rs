@@ -19,7 +19,7 @@ use smc_smv::{
     compile_module_with_options, flatten, parse, CompileOptions, CompiledModel, Module, SmvError,
 };
 
-use crate::cache::{fnv_update, source_key, Artifact, ArtifactCache, DEFAULT_CACHE_CAP};
+use crate::cache::{fnv_update, source_key, ArtifactCache, DEFAULT_CACHE_CAP};
 
 /// Derives the deterministic trace id a job gets when the client did
 /// not supply one: an FNV-1a fold of the sequence number over the
@@ -279,7 +279,7 @@ pub struct JobResult {
     pub outcome: JobOutcome,
     /// Wall time of the job body, microseconds.
     pub wall_us: u64,
-    /// Did the warm-start cache supply the compiled artifact?
+    /// Did the warm-start cache supply the flattened module?
     pub cache_hit: bool,
     /// Reachability fixpoint iterations this job ran. Zero on a warm
     /// start — the acceptance-level observable that the cache skipped
@@ -329,8 +329,8 @@ fn compile_failure(e: SmvError) -> JobOutcome {
 }
 
 /// Compiles the job's model — warm from the cache when possible, cold
-/// (publishing the artifact) otherwise. Returns the model and whether
-/// the cache supplied it.
+/// (publishing the flattened module) otherwise. Returns the model and
+/// whether the cache supplied it.
 fn compile_job(
     job: &Job,
     budget: Option<Budget>,
@@ -338,40 +338,24 @@ fn compile_job(
     cache: Option<&ArtifactCache>,
 ) -> Result<(CompiledModel, bool), JobOutcome> {
     let key = source_key(&job.source);
-    if let Some(artifact) = cache.and_then(|c| c.get(key)) {
+    if let Some(module) = cache.and_then(|c| c.get(key)) {
         // Warm start: parse and flatten are already done, and skipping
-        // the totality check (sound — the artifact only exists because
-        // a cold compile of this exact source passed it) is what skips
-        // the load-time reachability fixpoint.
+        // the totality check (sound — the module is cached only after a
+        // cold compile of this exact source passed it) skips the
+        // load-time reachability fixpoint. Nothing after loading reads
+        // the reachable set.
         let opts = CompileOptions { allow_deadlock: true, record_branches: false };
-        let mut compiled = compile_module_with_options(&artifact.module, budget, tele, opts)
-            .map_err(compile_failure)?;
-        match compiled.model.manager_mut().read_bdds_into(&artifact.reach[..]) {
-            Ok(roots) if roots.len() == 1 => {
-                compiled.model.set_reachable(roots[0]);
-                return Ok((compiled, true));
-            }
-            // A corrupted or malformed artifact fails the checksum and
-            // is treated as a miss: the fixpoint recomputes the set
-            // lazily (governed) instead of trusting bad bytes.
-            _ => return Ok((compiled, false)),
-        }
+        let compiled =
+            compile_module_with_options(&module, budget, tele, opts).map_err(compile_failure)?;
+        return Ok((compiled, true));
     }
-    // Cold: full pipeline, totality check included (it is what computes
-    // the reachable set the artifact then captures).
+    // Cold: full pipeline, totality check included.
     let program = parse(&job.source).map_err(compile_failure)?;
     let module: Module = flatten(&program).map_err(compile_failure)?;
     let compiled = compile_module_with_options(&module, budget, tele, CompileOptions::default())
         .map_err(compile_failure)?;
     if let Some(cache) = cache {
-        if let Some(reach) = compiled.model.cached_reachable() {
-            let mut buf = Vec::new();
-            // Serialization failure (it writes to memory, so only an
-            // internal invariant could fail) just skips publication.
-            if compiled.model.manager().write_bdds(&mut buf, &[reach]).is_ok() {
-                cache.insert(key, Artifact { module, source: job.source.clone(), reach: buf });
-            }
-        }
+        cache.insert(key, &job.source, module);
     }
     Ok((compiled, false))
 }

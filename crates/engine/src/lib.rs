@@ -21,10 +21,11 @@
 //! - [`run_batch`] — the pool: workers take jobs from one shared job
 //!   queue, results come back in job order.
 //! - [`ArtifactCache`] — the warm-start cache: keyed by a content hash
-//!   of the model source, it holds the flattened module and the
-//!   serialized reachable state set of the first successful compile, so
-//!   a repeat job skips both the compile-time totality check and the
-//!   whole reachability fixpoint (its `Reach` iteration count is zero).
+//!   of the model source, it holds the flattened module of the first
+//!   successful compile, so a repeat job skips parse, flatten and the
+//!   compile-time totality check with its reachability fixpoint (its
+//!   `Reach` iteration count is zero). The job still builds its own
+//!   BDDs.
 //! - per-job governors — every job gets its **own**
 //!   [`Budget`](smc_bdd::Budget) built from [`Limits`] at job start (so
 //!   deadlines are per job, not per batch), and a governor trip

@@ -365,22 +365,36 @@ fn disk_cache_warm_starts_a_restarted_process() {
     assert_eq!(cold[0].outcome, warm[0].outcome, "verdicts are unaffected");
 }
 
-#[test]
-fn truncated_artifact_is_a_miss_and_is_deleted() {
-    let dir = TempDir::new("corrupt");
+/// Publishes counter8's artifact in `dir`; returns its path and bytes.
+fn counter8_artifact(dir: &TempDir) -> (std::path::PathBuf, Vec<u8>) {
     run_batch(vec![job("counter8", COUNTER8)], &disk_cfg(dir.path(), 8, Metrics::disabled()));
     let files = dir.files_with_ext("smcart");
     assert_eq!(files.len(), 1);
-    // Simulate a crash mid-write-without-rename / disk corruption: chop
-    // the artifact in half.
     let bytes = std::fs::read(&files[0]).expect("read artifact");
-    std::fs::write(&files[0], &bytes[..bytes.len() / 2]).expect("truncate artifact");
+    (files[0].clone(), bytes)
+}
 
+/// Puts `bytes` under counter8's artifact name and asserts that a fresh
+/// cache over the directory misses, deletes the file and counts it as
+/// corrupt once.
+fn assert_rejected(dir: &TempDir, path: &std::path::Path, bytes: &[u8], what: &str) {
+    std::fs::write(path, bytes).expect("write artifact");
     let metrics = Metrics::new();
     let cache = ArtifactCache::with_dir(dir.path(), 8, metrics.clone()).expect("open cache dir");
-    assert!(cache.get(source_key(COUNTER8)).is_none(), "corrupt artifact must be a miss");
-    assert!(!files[0].exists(), "corrupt artifact must be deleted, not retried forever");
-    assert_eq!(metrics.counter("smc_batch_cache_corrupt_total", &[]), 1);
+    assert!(cache.get(source_key(COUNTER8)).is_none(), "{what} must be a miss");
+    assert!(!path.exists(), "{what} must be deleted, not retried forever");
+    assert_eq!(metrics.counter("smc_batch_cache_corrupt_total", &[]), 1, "{what}");
+}
+
+#[test]
+fn truncated_artifact_is_a_miss_and_is_deleted() {
+    let dir = TempDir::new("corrupt");
+    // A crash mid-write-without-rename or disk corruption: every proper
+    // prefix of the artifact, the empty file included.
+    let (path, bytes) = counter8_artifact(&dir);
+    for len in 0..bytes.len() {
+        assert_rejected(&dir, &path, &bytes[..len], &format!("a {len}-byte truncation"));
+    }
 
     // And through the engine: the job recovers by recompiling cold, then
     // re-publishes a good artifact.
@@ -393,16 +407,33 @@ fn truncated_artifact_is_a_miss_and_is_deleted() {
 #[test]
 fn flipped_payload_byte_fails_the_checksum() {
     let dir = TempDir::new("bitflip");
-    run_batch(vec![job("counter8", COUNTER8)], &disk_cfg(dir.path(), 8, Metrics::disabled()));
-    let files = dir.files_with_ext("smcart");
-    let mut bytes = std::fs::read(&files[0]).expect("read artifact");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&files[0], &bytes).expect("rewrite artifact");
-    let cache =
-        ArtifactCache::with_dir(dir.path(), 8, Metrics::disabled()).expect("open cache dir");
-    assert!(cache.get(source_key(COUNTER8)).is_none(), "bit flip must fail verification");
-    assert!(!files[0].exists());
+    // Every byte, header and source alike, with its low bit and with all
+    // of its bits flipped.
+    let (path, bytes) = counter8_artifact(&dir);
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0xFF] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= mask;
+            assert_rejected(&dir, &path, &flipped, &format!("byte {at} xor {mask:#04x}"));
+        }
+    }
+}
+
+#[test]
+fn a_version_1_artifact_is_a_miss_and_is_deleted() {
+    let dir = TempDir::new("v1");
+    let (path, _) = counter8_artifact(&dir);
+    // The previous format: the source followed by the serialized
+    // reachable set, with both lengths and a checksum over both.
+    let reach = b"reachable-set bytes\n";
+    let key = source_key(COUNTER8);
+    let checksum = crate::cache::fnv_update(key, reach);
+    let mut v1 =
+        format!("smcart 1 {key:016x} {} {} {checksum:016x}\n", COUNTER8.len(), reach.len())
+            .into_bytes();
+    v1.extend_from_slice(COUNTER8.as_bytes());
+    v1.extend_from_slice(reach);
+    assert_rejected(&dir, &path, &v1, "a version-1 artifact");
 }
 
 #[test]

@@ -251,9 +251,9 @@ impl SymbolicModel {
     /// The guards are analysed at the first reachability fixpoint, not
     /// here: for each, the bits `W` that `trans ∧ guard` can change, and
     /// the relation with the other next-state bits quantified away. A
-    /// model whose reachable set is installed with
-    /// [`set_reachable`](Self::set_reachable) never pays for it. The
-    /// guards, and later their parts, stay protected while installed.
+    /// model that never asks for its reachable set never pays for it.
+    /// The guards, and later their parts, stay protected while
+    /// installed.
     /// Pass an empty vector to go back to breadth-first search; replaced
     /// or removed guards and parts are released to the garbage
     /// collector.
@@ -621,25 +621,6 @@ impl SymbolicModel {
         if let Some(r) = self.reachable.take() {
             self.manager.unprotect(r);
         }
-    }
-
-    /// Installs an externally computed reachable set, as if
-    /// [`reachable`](Self::reachable) had just converged on it. The
-    /// warm-start cache uses this to skip the fixpoint entirely after
-    /// deserializing a previously saved state set; the caller vouches
-    /// that `reach` was computed for this exact model. Any previously
-    /// cached set is released first.
-    pub fn set_reachable(&mut self, reach: Bdd) {
-        self.forget_reachable();
-        self.manager.protect(reach);
-        self.reachable = Some(reach);
-    }
-
-    /// The cached reachable set, if one has been computed or installed —
-    /// never triggers the fixpoint. Serialization paths use this to
-    /// decide whether there is anything worth saving.
-    pub fn cached_reachable(&self) -> Option<Bdd> {
-        self.reachable
     }
 
     /// Number of reachable states (exact below 2^53).

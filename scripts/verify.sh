@@ -29,7 +29,27 @@ grep -q "3 jobs, 3 passed" <<<"$out" || { echo "batch smoke: unexpected summary:
 # Serially the duplicate counter8 job must warm-start from the cache.
 out=$(./target/release/smc batch --jobs 1 "$m") || { echo "batch smoke failed"; exit 1; }
 grep -q "1 cache hits" <<<"$out" || { echo "batch smoke: warm start missing: $out"; exit 1; }
-rm -f "$m"
+
+echo "== restart drill (a second batch process warm-starts from --cache-dir) =="
+# The first process persists one artifact per distinct source; the
+# second loads them from disk, so every one of its jobs is a cache hit
+# that runs no reachability iteration, and prints the same verdicts.
+cache="$(mktemp -d)"
+./target/release/smc batch --jobs 1 --json --cache-dir "$cache" "$m" >/dev/null \
+    || { echo "restart drill: first process failed"; exit 1; }
+out=$(./target/release/smc batch --jobs 1 --json --cache-dir "$cache" "$m") \
+    || { echo "restart drill: second process failed"; exit 1; }
+[ "$(grep -o '"cache_hit":true' <<<"$out" | wc -l)" -eq 3 ] \
+    || { echo "restart drill: expected 3 warm jobs: $out"; exit 1; }
+[ "$(grep -o '"reach_iters":0,' <<<"$out" | wc -l)" -eq 3 ] \
+    || { echo "restart drill: a warm job ran reachability: $out"; exit 1; }
+rm -rf "$cache"
+cache="$(mktemp -d)"
+cold=$(./target/release/smc batch --jobs 1 --trace --cache-dir "$cache" "$m" | grep -v '^batch: ')
+warm=$(./target/release/smc batch --jobs 1 --trace --cache-dir "$cache" "$m" | grep -v '^batch: ')
+[ "$cold" = "$warm" ] \
+    || { echo "restart drill: the warm process printed other verdicts:"; diff <(echo "$cold") <(echo "$warm"); exit 1; }
+rm -rf "$cache" "$m"
 
 echo "== serve smoke (NDJSON over stdin, graceful drain) =="
 out=$(printf '%s\n' \

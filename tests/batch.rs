@@ -5,13 +5,20 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn smc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_smc"))
 }
 
+/// Writes `contents` to a fresh temp file. The per-process counter in
+/// the name keeps two tests that pass the same `name` apart under the
+/// parallel test runner.
 fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("smc_batch_test_{name}_{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("smc_batch_test_{name}_{}_{n}", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(contents.as_bytes()).expect("write");
     path
@@ -243,6 +250,41 @@ fn warm_start_reuses_compiled_artifacts_within_a_batch() {
     let uncached = run(&["--json", "--no-cache"]);
     assert_eq!(uncached.matches("\"cache_hit\":true").count(), 0, "{uncached}");
     assert_eq!(uncached.matches("\"reach_iters\":0,").count(), 0, "{uncached}");
+}
+
+/// A warm job compiles the cached module without the totality check
+/// and never builds the reachable set, so its verdicts and traces must
+/// be exactly the cold job's: every bundled model twice, and an
+/// exported arbiter, whose free input installs event guards.
+#[test]
+fn warm_starts_print_the_uncached_text_byte_for_byte() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut arbiter = smc::circuits::arbiter::arbiter(2).netlist.to_smv();
+    arbiter.push_str("SPEC AG !(meo1 & meo2)\nSPEC AG (tr1 -> AF ta1)\nSPEC AG (ur2 -> AF ua2)\n");
+    let arbiter = write_temp("warm_text_arbiter", &arbiter);
+    let mut models: Vec<String> = std::fs::read_dir(format!("{root}/models"))
+        .expect("models dir")
+        .map(|e| e.expect("dir entry").path().display().to_string())
+        .filter(|p| p.ends_with(".smv"))
+        .collect();
+    models.sort();
+    models.push(arbiter.display().to_string());
+    let manifest = write_temp("warm_text_manifest", &(models.join("\n") + "\n").repeat(2));
+    let run = |extra: &[&str]| {
+        smc().args(["batch", "--jobs", "1", "--trace"]).args(extra).arg(&manifest).output()
+    };
+    let warm = run(&[]).expect("runs");
+    let cold = run(&["--no-cache"]).expect("runs");
+    std::fs::remove_file(&arbiter).ok();
+    std::fs::remove_file(&manifest).ok();
+    // Every model that compiles hits the cache the second time round
+    // (lint_demo.smv deadlocks, so it is never cached); the summary
+    // line's hit count is the only text that may differ.
+    let hits = format!(", {} cache hits\n", models.len() - 1);
+    let warm_stdout = String::from_utf8_lossy(&warm.stdout).replace(&hits, ", 0 cache hits\n");
+    assert_eq!(warm_stdout, String::from_utf8_lossy(&cold.stdout));
+    assert_eq!(String::from_utf8_lossy(&warm.stderr), String::from_utf8_lossy(&cold.stderr));
+    assert_eq!(warm.status.code(), cold.status.code());
 }
 
 #[test]

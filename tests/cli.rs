@@ -2,13 +2,20 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn smc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_smc"))
 }
 
+/// Writes `contents` to a fresh temp file. The per-process counter in
+/// the name keeps two tests that pass the same `name` apart under the
+/// parallel test runner.
 fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("smc_cli_test_{name}_{}.smv", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("smc_cli_test_{name}_{}_{n}.smv", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(contents.as_bytes()).expect("write");
     path
@@ -1036,6 +1043,28 @@ fn deps_prints_the_dependency_graph_and_cones() {
     assert!(stdout.contains("frozen constants:"), "{stdout}");
     // beat reads only itself: its own little SCC, in no cone.
     assert!(stdout.contains("beat <- beat"), "{stdout}");
+}
+
+/// Every macro on a `DEFINE` cycle reads the cycle's union, whichever
+/// macro the walk meets first: `b` reads `x` through `a`.
+#[test]
+fn deps_give_every_macro_on_a_define_cycle_the_cycles_support() {
+    let path = write_temp(
+        "define_cycle",
+        "MODULE main\nVAR x : boolean; y : boolean; z : boolean;\n\
+         DEFINE a := b | x;\nDEFINE b := a | y;\nASSIGN\n  next(z) := a;\n  next(x) := b;\n",
+    );
+    let out = smc().arg("deps").arg(&path).output().expect("runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("  x <- x y\n"), "{stdout}");
+    assert!(stdout.contains("  z <- x y\n"), "{stdout}");
+    let out = smc().arg("check").arg(&path).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error[E002]"), "{stderr}");
+    assert!(stderr.contains("DEFINE a expands to itself"), "{stderr}");
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
