@@ -5,13 +5,20 @@
 //!
 //! These tests re-implement the textbook recursions inline and compare
 //! against the optimized versions on the EXP-2/EXP-3 witness-shape
-//! models (single-SCC ring, SCC chain) and the fair-EG nesting.
+//! models (single-SCC ring, SCC chain) and the fair-EG nesting. The
+//! verdict-only checker's chained `EU` records no rings, but its set
+//! must be the very BDD of the last ring: on random models over random
+//! event guards, and on the exported Seitz arbiter.
 
 use smc_bdd::Bdd;
 use smc_bench::{scc_chain, single_scc_ring, to_symbolic_with_fairness};
 use smc_checker::fair::fair_eg;
 use smc_checker::fixpoint::{check_eg, check_eu, eu_rings};
-use smc_kripke::SymbolicModel;
+use smc_checker::Checker;
+use smc_circuits::arbiter::arbiter;
+use smc_kripke::{SymbolicModel, SymbolicModelBuilder};
+use smc_logic::{ctl, Ctl};
+use smc_smv::compile;
 
 /// Textbook `CheckEU` ring recording: preimage of the full accumulated
 /// set each round.
@@ -148,4 +155,231 @@ fn seeded_fair_eg_rings_bit_identical() {
             }
         }
     }
+}
+
+/// A small xorshift generator: each random case is fixed by its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    fn one_in(&mut self, n: usize) -> bool {
+        self.below(n) == 0
+    }
+}
+
+/// How a random case's guards cover the transitions.
+#[derive(Debug, Clone, Copy)]
+enum Guards {
+    /// Disjoint guards covering every state.
+    Cover,
+    /// Disjoint guards covering every reachable state and leaving some
+    /// unreachable ones to the remainder part.
+    Uncovered,
+    /// Overlapping guards covering every reachable state.
+    Overlapping,
+}
+
+/// A random total graph on 16 states with labels `f` and `g`, its
+/// reachable set analysed over random guards of `kind` (reachability
+/// only runs to analyse them). Two states only stutter, and one more
+/// guard holds exactly them, so its event is dropped. Returns the model
+/// and whether some guard-free state has a transition that changes a
+/// bit, which only the remainder part covers.
+fn random_event_model(rng: &mut Rng, kind: Guards) -> (SymbolicModel, bool) {
+    const BITS: usize = 4;
+    const N: usize = 1 << BITS;
+    let stutters = [1 + rng.below(N - 1), 1 + rng.below(N - 1)];
+    let succ: Vec<Vec<usize>> = (0..N)
+        .map(|s| {
+            if stutters.contains(&s) {
+                return vec![s];
+            }
+            (0..1 + rng.below(3)).map(|_| rng.below(N)).collect()
+        })
+        .collect();
+    let mut reachable = [false; N];
+    let mut stack = vec![0];
+    reachable[0] = true;
+    while let Some(s) = stack.pop() {
+        for &t in &succ[s] {
+            if !reachable[t] {
+                reachable[t] = true;
+                stack.push(t);
+            }
+        }
+    }
+    // Guard membership of each state; the stuttering states are the
+    // last guard's alone.
+    let k = 3;
+    let member: Vec<Vec<bool>> = (0..N)
+        .map(|s| {
+            if stutters.contains(&s) {
+                return (0..=k).map(|i| i == k).collect();
+            }
+            let mut row = vec![false; k + 1];
+            match kind {
+                Guards::Cover => row[rng.below(k)] = true,
+                Guards::Uncovered => {
+                    if reachable[s] || rng.one_in(2) {
+                        row[rng.below(k)] = true;
+                    }
+                }
+                Guards::Overlapping => {
+                    for cell in row.iter_mut().take(k) {
+                        *cell = rng.one_in(2);
+                    }
+                    if reachable[s] && !row.contains(&true) {
+                        row[rng.below(k)] = true;
+                    }
+                }
+            }
+            row
+        })
+        .collect();
+    let uncovered = (0..N).any(|s| !member[s].contains(&true) && succ[s].iter().any(|&t| t != s));
+
+    let mut b = SymbolicModelBuilder::new();
+    let ids: Vec<_> = (0..BITS).map(|i| b.bool_var(&format!("x{i}")).unwrap()).collect();
+    b.init_zero();
+    let cur: Vec<Bdd> = ids.iter().map(|&id| b.cur(id)).collect();
+    let nxt: Vec<Bdd> = ids.iter().map(|&id| b.next(id)).collect();
+    let m = b.manager_mut();
+    let cube = |m: &mut smc_bdd::BddManager, lits: &[Bdd], s: usize| {
+        let mut acc = Bdd::TRUE;
+        for (k, &lit) in lits.iter().enumerate() {
+            let lit = if s >> k & 1 == 1 { lit } else { m.not(lit) };
+            acc = m.and(acc, lit);
+        }
+        acc
+    };
+    let mut trans = Bdd::FALSE;
+    for (s, targets) in succ.iter().enumerate() {
+        for &t in targets {
+            let from = cube(m, &cur, s);
+            let to = cube(m, &nxt, t);
+            let edge = m.and(from, to);
+            trans = m.or(trans, edge);
+        }
+    }
+    let label = |m: &mut smc_bdd::BddManager, rng: &mut Rng, one_in: usize| {
+        let mut set = Bdd::FALSE;
+        for s in 0..N {
+            if rng.one_in(one_in) {
+                let c = cube(m, &cur, s);
+                set = m.or(set, c);
+            }
+        }
+        set
+    };
+    let f = label(m, rng, 2);
+    let g = label(m, rng, 6);
+    let guards: Vec<Bdd> = (0..=k)
+        .map(|i| {
+            let mut guard = Bdd::FALSE;
+            for s in (0..N).filter(|&s| member[s][i]) {
+                let c = cube(m, &cur, s);
+                guard = m.or(guard, c);
+            }
+            guard
+        })
+        .collect();
+    b.constrain_trans(trans);
+    b.add_label("f", f);
+    b.add_label("g", g);
+    let mut model = b.build().unwrap();
+    model.set_events(guards);
+    model.forget_reachable();
+    model.reachable().unwrap();
+    assert!(model.has_event_parts());
+    (model, uncovered)
+}
+
+#[test]
+fn chained_eu_equals_the_last_ring_on_random_guarded_models() {
+    let mut remainders = 0;
+    for case in 0..48u64 {
+        for kind in [Guards::Cover, Guards::Uncovered, Guards::Overlapping] {
+            let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ case.wrapping_mul(0x2545_F491_4F6C_DD1D));
+            let (mut model, uncovered) = random_event_model(&mut rng, kind);
+            remainders += usize::from(uncovered);
+            let f = model.ap("f").unwrap();
+            let g = model.ap("g").unwrap();
+            let nf = model.manager_mut().not(f);
+            let mut want = Vec::new();
+            for (lhs, rhs) in [(f, g), (Bdd::TRUE, g), (nf, g)] {
+                let rings = eu_rings(&mut model, lhs, rhs).unwrap();
+                let textbook = eu_rings_reference(&mut model, lhs, rhs);
+                assert_eq!(rings.last(), textbook.last(), "case {case} {kind:?}");
+                want.push(rings[rings.len() - 1]);
+            }
+            let mut checker = Checker::new(&mut model).verdicts_only();
+            for (formula, want) in ["E [f U g]", "EF g", "E [!f U g]"].iter().zip(want) {
+                let got = checker.check_states(&ctl::parse(formula).unwrap()).unwrap();
+                assert_eq!(got, want, "case {case} {kind:?}: {formula}");
+            }
+        }
+    }
+    assert!(remainders >= 16, "only {remainders} cases leave transitions to the remainder");
+}
+
+/// Every `E[f U g]` node of a formula in existential normal form.
+fn eu_nodes(formula: &Ctl, out: &mut Vec<Ctl>) {
+    match formula {
+        Ctl::Not(f) | Ctl::Ex(f) | Ctl::Eg(f) => eu_nodes(f, out),
+        Ctl::And(f, g) | Ctl::Or(f, g) => {
+            eu_nodes(f, out);
+            eu_nodes(g, out);
+        }
+        Ctl::Eu(f, g) => {
+            eu_nodes(f, out);
+            eu_nodes(g, out);
+            out.push(formula.clone());
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn the_verdict_only_checker_memoizes_the_eu_sets_of_checker_new_on_the_exported_arbiter() {
+    let mut source = arbiter(2).netlist.to_smv();
+    for spec in ["AG !(meo1 & meo2)", "AG (tr1 -> AF ta1)", "AG (ur2 -> AF ua2)"] {
+        source += &format!("SPEC {spec}\n");
+    }
+    let mut chained = compile(&source).unwrap();
+    let mut breadth_first = compile(&source).unwrap();
+    assert!(chained.model.has_event_parts(), "loading ran reachability over the events");
+    let specs: Vec<Ctl> = chained.specs.iter().map(|s| s.formula.clone()).collect();
+    let mut nodes = Vec::new();
+    for spec in &specs {
+        eu_nodes(&spec.to_existential_form(), &mut nodes);
+    }
+    assert!(nodes.len() >= 3, "every spec has an EU node");
+
+    let sets = |checker: &mut Checker| -> (Vec<bool>, Vec<Bdd>) {
+        let verdicts = specs.iter().map(|s| checker.check(s).unwrap().holds()).collect();
+        // Memo hits: the sets the checks stored.
+        let sets = nodes.iter().map(|n| checker.check_states(n).unwrap()).collect();
+        (verdicts, sets)
+    };
+    let before = chained.model.manager().stats().created_nodes;
+    let verdicts_only = sets(&mut Checker::new(&mut chained.model).verdicts_only());
+    let chained_work = chained.model.manager().stats().created_nodes - before;
+    let before = breadth_first.model.manager().stats().created_nodes;
+    let recorded = sets(&mut Checker::new(&mut breadth_first.model));
+    let breadth_first_work = breadth_first.model.manager().stats().created_nodes - before;
+    assert_eq!(verdicts_only.0, recorded.0, "verdicts");
+    assert!(
+        chained_work < breadth_first_work,
+        "chaining created {chained_work} nodes, breadth-first search {breadth_first_work}"
+    );
+    // In the chained run's own manager, `Checker::new` finds the very
+    // same handles.
+    let same_manager = sets(&mut Checker::new(&mut chained.model));
+    assert_eq!(verdicts_only, same_manager, "memoized EU sets");
 }

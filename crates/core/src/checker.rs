@@ -11,7 +11,7 @@ use smc_logic::Ctl;
 use crate::error::CheckError;
 use crate::fair::{fair_eg, FairRings};
 use crate::fairness_class::{check_efairness, witness_efairness, FairnessConjunct, ResolvedSide};
-use crate::fixpoint::{check_ex, eu_rings};
+use crate::fixpoint::{check_ex, eu_chained, eu_rings};
 use crate::govern::{self, Progress};
 use crate::obs;
 use crate::witness::{
@@ -53,7 +53,9 @@ pub struct CheckOutcome {
 /// One memoized sub-formula: its state set and the approximation rings
 /// its fixpoint saved — the single ring list of an `EU` node, one list
 /// per fairness constraint for a fair `EG` node, none otherwise. Witness
-/// construction walks these instead of running the fixpoint again.
+/// construction walks these instead of running the fixpoint again. A
+/// verdict-only checker's chained `EU` node saves none until a witness
+/// first walks it.
 #[derive(Debug, Clone)]
 struct Memo {
     set: Bdd,
@@ -72,7 +74,8 @@ impl Memo {
 /// Borrows the model mutably (all BDD work happens in the model's
 /// manager). Sub-formula results are memoized per checker instance,
 /// together with the rings of every `EU`/`EG` fixpoint, so each fixpoint
-/// runs once per formula node.
+/// runs once per formula node. A [verdict-only](Self::verdicts_only)
+/// checker computes its `EU` sets without rings where it can.
 ///
 /// # Examples
 ///
@@ -100,6 +103,8 @@ pub struct Checker<'m> {
     cache: HashMap<Ctl, Memo>,
     last_stats: Option<WitnessStats>,
     pin_depth: u32,
+    /// Chain formula-level `EU` fixpoints where the model allows it.
+    verdicts_only: bool,
 }
 
 impl<'m> Checker<'m> {
@@ -112,15 +117,33 @@ impl<'m> Checker<'m> {
             cache: HashMap::new(),
             last_stats: None,
             pin_depth: 0,
+            verdicts_only: false,
         }
+    }
+
+    /// Makes this a verdict-only checker, for callers that print no
+    /// trace. On a model whose event guards reachability has already
+    /// analysed ([`SymbolicModel::has_event_parts`]), each formula-level
+    /// `EU` is then computed by chained backward sweeps over the events
+    /// and records no rings. Elsewhere, and for the `EU`s nested in fair
+    /// `EG`, nothing changes.
+    ///
+    /// Verdicts and state sets are the very BDDs [`new`](Self::new)
+    /// computes; only the work differs. A trace may still be asked for:
+    /// the first walk of a chained `EU` records its rings then, so
+    /// witnesses and counterexamples equal those of [`new`](Self::new).
+    pub fn verdicts_only(mut self) -> Checker<'m> {
+        self.verdicts_only = true;
+        self
     }
 
     /// Runs a public entry point with the memo pinned: every cached state
     /// set and ring is protected so the governor's degradation
     /// ladder — which may GC mid-fixpoint, keeping only roots and
     /// protected nodes — cannot invalidate a memoized handle. Entries
-    /// inserted *during* the call are protected at insert time (see
-    /// `check_enf`); the outermost exit releases everything, restoring
+    /// inserted *during* the call, and rings recorded for an entry later,
+    /// are protected when stored (see `memo` and `eu_rings_of`); the
+    /// outermost exit releases everything, restoring
     /// the unpinned between-calls state. Re-entrant: nested public calls
     /// neither double-pin nor release early.
     fn pinned<T>(
@@ -405,11 +428,11 @@ impl<'m> Checker<'m> {
                 check_ex(self.model, target)
             }
             Ctl::Eu(f, g) => {
-                // CheckFairEU(f, g) = CheckEU(f, g ∧ fair).
-                let sf = self.check_enf(f)?;
-                let sg = self.check_enf(g)?;
-                let fair = self.fair()?;
-                let target = self.model.manager_mut().and(sg, fair);
+                let (sf, target) = self.eu_operands(f, g)?;
+                if self.verdicts_only && self.model.has_event_parts() {
+                    let set = eu_chained(self.model, sf, target)?;
+                    return Ok(Memo { set, rings: Vec::new() });
+                }
                 let rings = eu_rings(self.model, sf, target)?;
                 return Ok(Memo { set: rings[rings.len() - 1], rings: vec![rings] });
             }
@@ -428,6 +451,34 @@ impl<'m> Checker<'m> {
             }
         };
         Ok(Memo { set, rings: Vec::new() })
+    }
+
+    /// The operands of `CheckEU` for `E[f U g]`:
+    /// `CheckFairEU(f, g) = CheckEU(f, g ∧ fair)`.
+    fn eu_operands(&mut self, f: &Ctl, g: &Ctl) -> Result<(Bdd, Bdd), CheckError> {
+        let sf = self.check_enf(f)?;
+        let sg = self.check_enf(g)?;
+        let fair = self.fair()?;
+        Ok((sf, self.model.manager_mut().and(sg, fair)))
+    }
+
+    /// The rings of the memoized `EU` node `formula = E[f U g]`. A chained
+    /// entry records them now, by the breadth-first loop, and keeps them
+    /// pinned like the rest of the memo.
+    fn eu_rings_of(&mut self, formula: &Ctl, f: &Ctl, g: &Ctl) -> Result<Vec<Bdd>, CheckError> {
+        if let Some(rings) = self.memo(formula)?.rings.first() {
+            return Ok(rings.clone());
+        }
+        let (sf, target) = self.eu_operands(f, g)?;
+        let rings = eu_rings(self.model, sf, target)?;
+        for &b in &rings {
+            self.model.manager_mut().protect(b);
+        }
+        if let Some(memo) = self.cache.get_mut(formula) {
+            debug_assert_eq!(rings.last(), Some(&memo.set), "the rings end at the chained set");
+            memo.rings = vec![rings.clone()];
+        }
+        Ok(rings)
     }
 
     /// Recursive trace construction: from a state satisfying `formula`
@@ -480,8 +531,8 @@ impl<'m> Checker<'m> {
                 let tail = self.explain(&next, f)?;
                 Ok(splice(vec![state.clone(), next], tail))
             }
-            Ctl::Eu(_, g) => {
-                let rings = self.memo(formula)?.rings[0].clone();
+            Ctl::Eu(f, g) => {
+                let rings = self.eu_rings_of(formula, f, g)?;
                 let path = witness_eu(self.model, &rings, state)?;
                 let last = path
                     .last()

@@ -1,7 +1,10 @@
 //! The basic CTL fixpoint operators of Section 4: `CheckEX`, `CheckEU`
-//! and `CheckEG`. There is one `EU` loop, and it records its rings: the
-//! witness generator replays them backwards, and callers that need only
-//! the fixpoint take the last one.
+//! and `CheckEG`. `CheckEU` has two loops. The breadth-first one records
+//! its rings: the witness generator replays them backwards, and callers
+//! that need only the fixpoint take the last one. The chained one
+//! records none and sweeps backwards over the model's events; the
+//! verdict-only checker runs it for formula-level `EU`s when the model
+//! has event parts.
 //!
 //! Every fixpoint loop is a governed, fallible computation: each
 //! iteration ends at a [`BddManager::checkpoint`](smc_bdd::BddManager)
@@ -104,6 +107,54 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
         Progress { iterations: iters, rings: rings.len() as u64, approx: Some(z) },
     )?;
     Ok(rings)
+}
+
+/// `CheckEU(f, g)` chained: from `Z = g`, each iteration is one
+/// [backward sweep](SymbolicModel::sweep_back) over the model's event
+/// parts, until a sweep adds nothing. Sweeps alternate the event order,
+/// starting in reverse, against the order reachability starts with: on
+/// the exported arbiter(3) and arbiter(4) that creates 3–4% fewer nodes
+/// than starting forward.
+/// The result is the very BDD [`check_eu`] returns; no rings are
+/// recorded. Iteration counts (telemetry, the budget's iteration cap)
+/// count sweeps.
+///
+/// The model must have [event parts](SymbolicModel::has_event_parts).
+///
+/// # Errors
+///
+/// [`CheckError::ResourceExhausted`] if the manager's budget trips.
+pub(crate) fn eu_chained(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, CheckError> {
+    let span = obs::span_start(model, SpanKind::CheckEu, None);
+    let result = eu_chained_inner(model, f, g);
+    obs::span_end(model, span);
+    result
+}
+
+fn eu_chained_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, CheckError> {
+    let mut watch = FixObserver::new(model, FixKind::Eu);
+    let mut z = g;
+    let mut frontier = g;
+    let mut iters = 0u64;
+    while !frontier.is_false() {
+        let progress = Progress { iterations: iters, rings: 0, approx: Some(z) };
+        let grown = model
+            .sweep_back(f, z, iters.is_multiple_of(2))
+            .map_err(|e| govern::exhausted(model, Phase::EuFixpoint, progress, e))?;
+        frontier = model.manager_mut().diff(grown, z);
+        iters += 1;
+        let progress = Progress { iterations: iters, ..progress };
+        govern::checkpoint(model, Phase::EuFixpoint, progress, &[f, g, grown, frontier])?;
+        z = grown;
+        watch.iter(model, iters, frontier, z);
+    }
+    // As in `eu_rings`: with g = ∅ no checkpoint ran.
+    govern::poll(
+        model,
+        Phase::EuFixpoint,
+        Progress { iterations: iters, rings: 0, approx: Some(z) },
+    )?;
+    Ok(z)
 }
 
 /// `CheckEG(f)`: greatest fixpoint of `λZ. f ∧ EX Z` (no fairness).

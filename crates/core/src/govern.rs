@@ -28,7 +28,14 @@ impl Progress {
     }
 }
 
-fn exhausted(model: &SymbolicModel, phase: Phase, progress: Progress, e: BddError) -> CheckError {
+/// The checker's error for a BDD-layer error `e` in `phase`: a budget
+/// trip becomes [`CheckError::ResourceExhausted`] with `progress`.
+pub(crate) fn exhausted(
+    model: &SymbolicModel,
+    phase: Phase,
+    progress: Progress,
+    e: BddError,
+) -> CheckError {
     let BddError::ResourceExhausted(reason) = e else {
         // check_budget/checkpoint only ever report exhaustion; route
         // anything else through the model-error path unchanged.

@@ -6,10 +6,13 @@
 //! panic — and (b) leave the manager so exactly restored that re-running
 //! the same query on the *same* model produces results bit-identical to
 //! an uninterrupted run on a fresh manager: same verdicts, same witness
-//! states, same BDD node ids.
+//! states, same BDD node ids. Both checkers are driven: `Checker::new`
+//! and the verdict-only one, whose `EU`s chain backwards over a model's
+//! events (built lazily at the first sweep) and record rings only when a
+//! trace walks them.
 
 use proptest::prelude::*;
-use smc_bdd::{Bdd, FaultPlan, TripReason};
+use smc_bdd::{Bdd, Budget, FaultPlan, TripReason};
 use smc_checker::fixpoint::eu_rings;
 use smc_checker::{CheckError, Checker, Trace};
 use smc_kripke::{SymbolicModel, SymbolicModelBuilder};
@@ -35,9 +38,43 @@ fn free_bit(fair_on_x: bool) -> SymbolicModel {
     b.build().expect("valid model")
 }
 
-/// Drives `run` into faults injected at several allocation counts and
-/// checks the recovery contract: a clean structured error, then a retry
-/// on the same model matching the uninterrupted reference bit for bit.
+/// Two free bits `s`, `t` pick which of `x`, `y` may flip: `s` flips
+/// `x`, `t` flips `y`. Its four guards (the values of `s, t`, one of
+/// which only stutters) are analysed by reachability, so a verdict-only
+/// checker chains its `EU`s.
+fn selected() -> SymbolicModel {
+    let mut b = SymbolicModelBuilder::new();
+    let ids = ["s", "t", "x", "y"].map(|name| b.bool_var(name).expect("fresh var"));
+    b.init_zero();
+    b.next_fn(ids[2], |m, cur| m.xor(cur[2], cur[0]));
+    b.next_fn(ids[3], |m, cur| m.xor(cur[3], cur[1]));
+    let mut model = b.build().expect("valid model");
+    let s = model.ap("s").expect("declared");
+    let t = model.ap("t").expect("declared");
+    let m = model.manager_mut();
+    let (ns, nt) = (m.not(s), m.not(t));
+    let guards = [(s, t), (s, nt), (ns, t), (ns, nt)].map(|(a, b)| m.and(a, b));
+    model.set_events(guards.to_vec());
+    model.forget_reachable();
+    model.reachable().expect("reachable");
+    assert!(model.has_event_parts());
+    model
+}
+
+/// `Checker::new`, or its verdict-only form.
+fn checker(model: &mut SymbolicModel, verdicts_only: bool) -> Checker<'_> {
+    let c = Checker::new(model);
+    if verdicts_only {
+        c.verdicts_only()
+    } else {
+        c
+    }
+}
+
+/// Drives `run`, on both checkers, into faults injected at several
+/// allocation counts and checks the recovery contract: a clean
+/// structured error, then a retry on the same model matching the
+/// uninterrupted reference bit for bit.
 fn assert_fault_recovery<T>(
     label: &str,
     make_model: impl Fn() -> SymbolicModel,
@@ -45,13 +82,51 @@ fn assert_fault_recovery<T>(
 ) where
     T: PartialEq + std::fmt::Debug,
 {
-    let mut reference = make_model();
-    let want = run(&mut Checker::new(&mut reference))
-        .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
+    let points =
+        [(1, true), (2, false), (5, true), (9, false), (17, true), (33, false), (65, true)];
+    for verdicts_only in [false, true] {
+        let want = run(&mut checker(&mut make_model(), verdicts_only))
+            .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
+        assert_recovery_at(label, &make_model, &run, verdicts_only, &points, &want);
+    }
+}
 
-    for (at, table_full) in
-        [(1, true), (2, false), (5, true), (9, false), (17, true), (33, false), (65, true)]
-    {
+/// [`assert_fault_recovery`] at every allocation of the uninterrupted
+/// run, each as a table-full fault and as a cancellation: every
+/// checkpoint of every loop, and every step between, takes a trip.
+fn assert_fault_recovery_everywhere<T>(
+    label: &str,
+    make_model: impl Fn() -> SymbolicModel,
+    run: impl Fn(&mut Checker) -> Result<T, CheckError>,
+) where
+    T: PartialEq + std::fmt::Debug,
+{
+    for verdicts_only in [false, true] {
+        let mut reference = make_model();
+        let before = reference.manager().stats().created_nodes;
+        let want = run(&mut checker(&mut reference, verdicts_only))
+            .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
+        let created = reference.manager().stats().created_nodes - before;
+        let points: Vec<(u64, bool)> =
+            (1..=created + 1).flat_map(|at| [(at, true), (at, false)]).collect();
+        assert_recovery_at(label, &make_model, &run, verdicts_only, &points, &want);
+    }
+}
+
+/// One faulted run per `(allocation, table_full)` point: a clean trip,
+/// then a retry on the same model and checker equal to `want`.
+fn assert_recovery_at<T>(
+    label: &str,
+    make_model: &impl Fn() -> SymbolicModel,
+    run: &impl Fn(&mut Checker) -> Result<T, CheckError>,
+    verdicts_only: bool,
+    points: &[(u64, bool)],
+    want: &T,
+) where
+    T: PartialEq + std::fmt::Debug,
+{
+    let label = format!("{label} (verdicts only: {verdicts_only})");
+    for &(at, table_full) in points {
         let mut model = make_model();
         let plan = if table_full {
             FaultPlan { table_full_at: Some(at), ..FaultPlan::new() }
@@ -59,10 +134,10 @@ fn assert_fault_recovery<T>(
             FaultPlan { cancel_at: Some(at), ..FaultPlan::new() }
         };
         model.manager_mut().inject_faults(plan);
-        let mut c = Checker::new(&mut model);
+        let mut c = checker(&mut model, verdicts_only);
         match run(&mut c) {
             // The fault point lay beyond the run's allocations.
-            Ok(v) => assert_eq!(v, want, "{label}: unfaulted run at {at} diverged"),
+            Ok(v) => assert_eq!(&v, want, "{label}: unfaulted run at {at} diverged"),
             Err(CheckError::ResourceExhausted { reason, .. }) => {
                 let expect = if table_full { TripReason::TableFull } else { TripReason::Cancelled };
                 assert_eq!(reason, expect, "{label}: wrong trip at {at}");
@@ -70,7 +145,7 @@ fn assert_fault_recovery<T>(
                 // the very same model and checker.
                 let got = run(&mut c)
                     .unwrap_or_else(|e| panic!("{label}: retry after fault at {at} failed: {e}"));
-                assert_eq!(got, want, "{label}: retry after fault at {at} diverged");
+                assert_eq!(&got, want, "{label}: retry after fault at {at} diverged");
             }
             Err(other) => panic!("{label}: unexpected error at {at}: {other}"),
         }
@@ -136,6 +211,33 @@ fn fair_eg_witness_recovers_from_faults() {
     // (witness/eg.rs) end to end.
     let spec = ctl::parse("EG true").expect("parse");
     assert_fault_recovery("fair witness", || free_bit(true), |c| c.witness(&spec));
+}
+
+#[test]
+fn chained_eus_recover_from_faults_at_every_allocation() {
+    // Each run is the checker's first, so the backward parts are built
+    // inside it, at the first sweep.
+    let reach = ctl::parse("E [!x U (x & y)]").expect("parse");
+    assert_fault_recovery_everywhere("chained check_states", selected, |c| c.check_states(&reach));
+    let spec = ctl::parse("AG (EF (x & y))").expect("parse");
+    assert_fault_recovery_everywhere("chained check", selected, |c| {
+        c.check(&spec).map(|v| (v.holds(), v.states))
+    });
+    // The rings a trace walks are recorded on the first walk.
+    let spec = ctl::parse("AG !(x & y)").expect("parse");
+    assert_fault_recovery_everywhere("chained check_with_trace", selected, |c| {
+        c.check_with_trace(&spec).map(|o| (o.verdict.holds(), o.verdict.states, o.trace))
+    });
+    let spec = ctl::parse("EF (x & y)").expect("parse");
+    assert_fault_recovery_everywhere("chained witness", selected, |c| {
+        let holds = c.check(&spec)?.holds();
+        Ok((holds, c.witness(&spec)?))
+    });
+    let spec = ctl::parse("AG !(x & y)").expect("parse");
+    assert_fault_recovery_everywhere("chained counterexample", selected, |c| {
+        let holds = c.check(&spec)?.holds();
+        Ok((holds, c.counterexample(&spec)?))
+    });
 }
 
 /// Uninterrupted reference for the property below: verdict of
@@ -213,4 +315,38 @@ proptest! {
         };
         prop_assert_eq!(trace, want_trace, "witness diverged after fault at {}", at);
     }
+}
+
+/// The rings a verdict-only checker records on a trace's first walk are
+/// pinned like every memo entry: the ladder's collections later in the
+/// same call (the inner `EU`'s rings are recorded by a governed loop)
+/// keep the outer `EU`'s, and a second trace walks them again to the
+/// same witness. Swept over node limits; a limit the ladder must sift or
+/// trip at is skipped, since sifting may change which (equally valid)
+/// states a trace picks.
+#[test]
+fn rings_recorded_on_the_first_walk_survive_collections() {
+    let spec = ctl::parse("EF (x & !y & EF (y & !x))").expect("parse");
+    let mut reference = selected();
+    let want = Checker::new(&mut reference).check_with_trace(&spec).expect("checks");
+    assert!(want.verdict.holds());
+
+    let mut collected = 0;
+    for limit in (16..400).step_by(2) {
+        let mut model = selected();
+        let mut c = Checker::new(&mut model).verdicts_only();
+        c.check(&spec).expect("checks");
+        c.model().manager_mut().set_budget(Budget::new().with_node_limit(limit));
+        let walks: Result<Vec<_>, _> = (0..2).map(|_| c.check_with_trace(&spec)).collect();
+        let m = c.model().manager();
+        let (Ok(walks), 0) = (walks, m.ladder_stage()) else {
+            continue;
+        };
+        m.validate().expect("no dangling protected roots");
+        collected += usize::from(m.stats().gc_runs > 1);
+        for (walk, got) in walks.iter().enumerate() {
+            assert_eq!(got.trace, want.trace, "walk {walk} under a {limit}-node limit");
+        }
+    }
+    assert!(collected >= 8, "only {collected} limits collected more than once");
 }

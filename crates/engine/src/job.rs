@@ -494,7 +494,8 @@ fn check_job(job: &Job, compiled: &mut CompiledModel, want_trace: bool) -> JobOu
 /// one checker, stopping at the first error, and returns the decided
 /// specs with the error that stopped the loop, if any. With
 /// `want_trace`, each decided spec carries its counterexample or
-/// witness, decoded to text after the checker releases the model.
+/// witness, decoded to text after the checker releases the model;
+/// without, the checker is [verdict-only](Checker::verdicts_only).
 // Inline, so `smc check`, `spec` and `inspect` run a copy in the CLI's
 // own code: a call into the engine's code faults in a 64 KiB window of
 // its text, which read as +48 KiB of peak RSS on every `smc check`
@@ -510,6 +511,9 @@ pub fn check_formulas(
     let mut error = None;
     {
         let mut checker = Checker::new(&mut compiled.model).with_strategy(strategy);
+        if !want_trace {
+            checker = checker.verdicts_only();
+        }
         for formula in formulas {
             let outcome = if want_trace {
                 checker.check_with_trace(formula).map(|o| (o.verdict.holds(), o.trace))

@@ -15,9 +15,10 @@
 //!
 //! Four pieces:
 //!
-//! - [`check_formulas`] — the checker loop: one checker, the formulas in
-//!   order, traces decoded to text. Every job runs it, and so do
-//!   `smc check`, `smc spec` and `smc inspect`.
+//! - [`check_formulas`] — the checker loop: one checker, verdict-only
+//!   unless traces are wanted, the formulas in order, traces decoded to
+//!   text. Every job runs it, and so do `smc check`, `smc spec` and
+//!   `smc inspect`.
 //! - [`run_batch`] — the pool: workers take jobs from one shared job
 //!   queue, results come back in job order.
 //! - [`ArtifactCache`] — the warm-start cache: keyed by a content hash

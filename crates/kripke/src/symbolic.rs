@@ -37,22 +37,31 @@ pub struct SymbolicModel {
     /// schedules for image/preimage; the monolithic relation is the
     /// one-part partition `[trans]`.
     partition: Partition,
-    /// Disjunctive event split of `trans` for chained reachability.
+    /// Disjunctive event split of `trans` for chained fixpoints.
     events: Events,
 }
 
 /// The event split of the transition relation that
-/// [`reachable`](SymbolicModel::reachable) chains over. Guards are
-/// analysed into event-local parts at the first fixpoint that needs them.
+/// [`reachable`](SymbolicModel::reachable) and
+/// [`sweep_back`](SymbolicModel::sweep_back) chain over. Guards are
+/// analysed into event-local parts at the first reachability fixpoint;
+/// the backward parts are built from those at the first backward sweep.
 #[derive(Debug, Default)]
 enum Events {
-    /// No guards: reachability is breadth-first over the whole relation.
+    /// No guards: every fixpoint is breadth-first over the whole relation.
     #[default]
     None,
     /// Installed guards, not yet analysed.
     Guards(Vec<Bdd>),
-    /// The analysed parts, in guard order.
-    Parts(Vec<EventPart>),
+    /// The guards' analysed parts.
+    Parts {
+        /// The forward parts, in guard order.
+        parts: Vec<EventPart>,
+        /// The backward parts, once a backward sweep asked for them:
+        /// each forward part's relation with the next-rail cube and the
+        /// `cur → nxt` renaming of its bits, then the remainder part.
+        back: Option<Vec<EventPart>>,
+    },
 }
 
 /// One event `trans ∧ guard`, reduced to the bits `W` it can change.
@@ -61,10 +70,12 @@ struct EventPart {
     /// `∃(next bits outside W). trans ∧ guard`: mentions no next-state
     /// bit outside `W`.
     rel: Bdd,
-    /// The current-state bits of `W`, quantified by the image.
+    /// The bits of `W` the step quantifies: the current-state bits for
+    /// an image, the next-state bits for a preimage.
     cube: Bdd,
-    /// `(x_i′, x_i)` for every `i ∈ W`: moves the image back onto the
-    /// current rail.
+    /// The renaming of `W` between the rails: `(x_i′, x_i)` moves an
+    /// image back onto the current rail, `(x_i, x_i′)` moves a set onto
+    /// the next rail before a preimage.
     rename: Vec<(Var, Var)>,
 }
 
@@ -76,7 +87,9 @@ impl Events {
         match self {
             Events::None => Vec::new(),
             Events::Guards(guards) => guards.clone(),
-            Events::Parts(parts) => parts.iter().flat_map(|p| [p.rel, p.cube]).collect(),
+            Events::Parts { parts, back } => {
+                parts.iter().chain(back.iter().flatten()).flat_map(|p| [p.rel, p.cube]).collect()
+            }
         }
     }
 }
@@ -241,18 +254,24 @@ impl SymbolicModel {
     /// (Burch, Clarke and Long, 1991). With guards installed,
     /// [`reachable`](Self::reachable) applies the events one after
     /// another to the growing set instead of taking breadth-first
-    /// images (chaining). Nothing else uses them: images, preimages and
-    /// every other fixpoint keep the whole relation.
+    /// images (chaining). Once reachability has analysed them,
+    /// [`sweep_back`](Self::sweep_back) chains least fixpoints backwards
+    /// over the same parts. Images, preimages and every other fixpoint
+    /// keep the whole relation.
     ///
     /// Contract: every transition that leaves a reachable state and
     /// changes some bit satisfies some guard. Transitions that change
-    /// nothing may be left out, and guards may overlap.
+    /// nothing may be left out, and guards may overlap. Backward sweeps
+    /// need no contract: they also apply the remainder event
+    /// `trans ∧ ¬(g₁ ∨ … ∨ gₙ)`, so their parts cover every transition
+    /// from every state, unreachable ones included.
     ///
     /// The guards are analysed at the first reachability fixpoint, not
     /// here: for each, the bits `W` that `trans ∧ guard` can change, and
     /// the relation with the other next-state bits quantified away. A
-    /// model that never asks for its reachable set never pays for it.
-    /// The guards, and later their parts, stay protected while
+    /// model that never asks for its reachable set never pays for it,
+    /// and one that never sweeps backwards never builds the backward
+    /// parts. The guards, and later their parts, stay protected while
     /// installed.
     /// Pass an empty vector to go back to breadth-first search; replaced
     /// or removed guards and parts are released to the garbage
@@ -273,6 +292,13 @@ impl SymbolicModel {
     /// Are event guards installed, so that reachability is chained?
     pub fn has_events(&self) -> bool {
         !matches!(self.events, Events::None)
+    }
+
+    /// Has reachability analysed the installed guards into event parts,
+    /// so that [`sweep_back`](Self::sweep_back) can chain over them?
+    /// False without guards and before the first reachability fixpoint.
+    pub fn has_event_parts(&self) -> bool {
+        matches!(self.events, Events::Parts { .. })
     }
 
     /// The BDD manager holding every set and relation of this model.
@@ -495,26 +521,15 @@ impl SymbolicModel {
             return Ok(());
         };
         let guards = guards.clone();
-        let m = &mut self.manager;
-        let flips: Vec<Bdd> = (0..self.cur.len())
-            .map(|i| {
-                let (x, x2) = (m.var(self.cur[i]), m.var(self.nxt[i]));
-                m.xor(x, x2)
-            })
-            .collect();
+        let flips = self.flips();
         let mut parts = Vec::with_capacity(guards.len());
         for &guard in &guards {
-            let event = m.and(self.trans, guard);
-            let (changed, kept): (Vec<usize>, Vec<usize>) =
-                (0..self.cur.len()).partition(|&i| m.intersects(event, flips[i]));
-            if changed.is_empty() {
+            let event = self.manager.and(self.trans, guard);
+            let Some((rel, changed)) = self.localise(event, &flips) else {
                 continue;
-            }
-            let frame: Vec<Var> = kept.iter().map(|&i| self.nxt[i]).collect();
-            let frame = m.cube(&frame);
-            let rel = m.exists(event, frame);
+            };
             let cube: Vec<Var> = changed.iter().map(|&i| self.cur[i]).collect();
-            let cube = m.cube(&cube);
+            let cube = self.manager.cube(&cube);
             let rename = changed.iter().map(|&i| (self.nxt[i], self.cur[i])).collect();
             parts.push(EventPart { rel, cube, rename });
         }
@@ -523,9 +538,84 @@ impl SymbolicModel {
         // guards stay installed and a retry analyses them again.
         self.manager.check_budget().map_err(|e| self.exhausted(e, 0))?;
         self.set_events(Vec::new());
-        self.events = Events::Parts(parts);
+        self.events = Events::Parts { parts, back: None };
         for b in self.events.roots() {
             self.manager.protect(b);
+        }
+        Ok(())
+    }
+
+    /// `x_i ⊕ x_i′` for every state bit `i`: the transitions that change
+    /// bit `i`.
+    fn flips(&mut self) -> Vec<Bdd> {
+        let m = &mut self.manager;
+        (0..self.cur.len())
+            .map(|i| {
+                let (x, x2) = (m.var(self.cur[i]), m.var(self.nxt[i]));
+                m.xor(x, x2)
+            })
+            .collect()
+    }
+
+    /// The event-local relation of `event` and the bits `W` it can
+    /// change, in order; `None` when it changes none.
+    fn localise(&mut self, event: Bdd, flips: &[Bdd]) -> Option<(Bdd, Vec<usize>)> {
+        let m = &mut self.manager;
+        let (changed, kept): (Vec<usize>, Vec<usize>) =
+            (0..self.cur.len()).partition(|&i| m.intersects(event, flips[i]));
+        if changed.is_empty() {
+            return None;
+        }
+        let frame: Vec<Var> = kept.iter().map(|&i| self.nxt[i]).collect();
+        let frame = m.cube(&frame);
+        Some((m.exists(event, frame), changed))
+    }
+
+    /// Builds the backward parts at the first backward sweep: every
+    /// forward part with the next-rail cube and the `cur → nxt` renaming
+    /// of its bits, then the remainder event analysed the same way
+    /// (dropped if it changes no bit). Together they cover every
+    /// transition but stutters, which never add a state to a least
+    /// fixpoint.
+    ///
+    /// The remainder is `trans` outside the parts' domains `∃W′. rel`,
+    /// each `g ∧ ∃x′. trans`: that is `trans ∧ ¬(g₁ ∨ … ∨ gₙ)` plus the
+    /// stutters of dropped events, which add no state. So the guards
+    /// need not be kept once analysed.
+    fn analyse_backward(&mut self) -> Result<(), BddError> {
+        let Events::Parts { parts, back: None } = &self.events else {
+            return Ok(());
+        };
+        let m = &mut self.manager;
+        let mut covered = Bdd::FALSE;
+        let mut back: Vec<EventPart> = parts
+            .iter()
+            .map(|p| {
+                let nxt: Vec<Var> = p.rename.iter().map(|&(x2, _)| x2).collect();
+                let cube = m.cube(&nxt);
+                let domain = m.exists(p.rel, cube);
+                covered = m.or(covered, domain);
+                let rename = p.rename.iter().map(|&(x2, x)| (x, x2)).collect();
+                EventPart { rel: p.rel, cube, rename }
+            })
+            .collect();
+        let uncovered = m.not(covered);
+        let remainder = m.and(self.trans, uncovered);
+        let flips = self.flips();
+        if let Some((rel, changed)) = self.localise(remainder, &flips) {
+            let nxt: Vec<Var> = changed.iter().map(|&i| self.nxt[i]).collect();
+            let cube = self.manager.cube(&nxt);
+            let rename = changed.iter().map(|&i| (self.cur[i], self.nxt[i])).collect();
+            back.push(EventPart { rel, cube, rename });
+        }
+        // Committed before they are kept, as in `analyse_events`.
+        self.manager.check_budget()?;
+        for p in &back {
+            self.manager.protect(p.rel);
+            self.manager.protect(p.cube);
+        }
+        if let Events::Parts { back: slot, .. } = &mut self.events {
+            *slot = Some(back);
         }
         Ok(())
     }
@@ -537,7 +627,7 @@ impl SymbolicModel {
     fn reach_fixpoint(&mut self, tele: &smc_obs::Telemetry) -> Result<Bdd, KripkeError> {
         let mut tracker =
             tele.enabled().then(|| smc_obs::IterTracker::new(self.manager.stats_snapshot()));
-        let chained = matches!(self.events, Events::Parts(_));
+        let chained = self.has_event_parts();
         let mut frontier = self.init;
         let mut reach = self.init;
         let mut iters = 0u64;
@@ -579,7 +669,7 @@ impl SymbolicModel {
     /// it grows, in reverse order when `reversed`. An event's image
     /// quantifies and renames only the bits it changes.
     fn sweep(&mut self, mut reach: Bdd, reversed: bool) -> Bdd {
-        let SymbolicModel { manager, events: Events::Parts(parts), .. } = self else {
+        let SymbolicModel { manager, events: Events::Parts { parts, .. }, .. } = self else {
             unreachable!("sweeps run over analysed events");
         };
         let mut step = |part: &EventPart| {
@@ -593,6 +683,46 @@ impl SymbolicModel {
             parts.iter().for_each(&mut step);
         }
         reach
+    }
+
+    /// One chained backward sweep of the least fixpoint
+    /// `μZ. g ∨ (f ∧ EX Z)`: every event part in turn adds its
+    /// `f`-predecessors of the set grown so far
+    /// (`Z := Z ∨ (f ∧ Pre_e(Z))`), in reverse order when `reversed`. An
+    /// event's preimage renames and quantifies only the bits it changes.
+    /// Repeated from `Z = g` until a sweep adds nothing, it reaches the
+    /// same fixpoint as breadth-first preimages, in fewer and cheaper
+    /// steps.
+    ///
+    /// The first call builds the backward parts: the
+    /// [remainder event](Self::set_events) and the next-rail cubes.
+    ///
+    /// # Errors
+    ///
+    /// A budget trip while the backward parts are built; nothing is kept,
+    /// so a retry builds them again.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`has_event_parts`](Self::has_event_parts).
+    pub fn sweep_back(&mut self, f: Bdd, mut z: Bdd, reversed: bool) -> Result<Bdd, BddError> {
+        self.analyse_backward()?;
+        let SymbolicModel { manager, events: Events::Parts { back: Some(back), .. }, .. } = self
+        else {
+            panic!("backward sweeps run over analysed events");
+        };
+        let mut step = |part: &EventPart| {
+            let primed = manager.rename(z, &part.rename);
+            let pre = manager.and_exists(primed, part.rel, part.cube);
+            let add = manager.and(f, pre);
+            z = manager.or(z, add);
+        };
+        if reversed {
+            back.iter().rev().for_each(&mut step);
+        } else {
+            back.iter().for_each(&mut step);
+        }
+        Ok(z)
     }
 
     /// The error for a budget trip in the reachability layer, carrying

@@ -11,7 +11,7 @@
 //! deadline-bounded large-model run:
 //!
 //! ```sh
-//! cargo run --example export_smv -- 5 > arbiter5.smv
+//! cargo run --example export_smv -- 6 > arbiter6.smv
 //! ```
 
 use smc::circuits::arbiter::arbiter;

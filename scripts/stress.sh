@@ -5,12 +5,12 @@
 #      kernel (transactional rollback, one-shot triggers, cache wipes),
 #      fault recovery across every public Checker entry point, and the
 #      budgeted CLI paths.
-#   2. A deadline-bounded run of a large (5-user) arbiter through the
+#   2. A deadline-bounded run of a large (6-user) arbiter through the
 #      CLI: a tight wall-clock/node budget must stop the run cleanly
 #      with exit code 3 and partial diagnostics — never a hang, panic,
 #      or corrupted state — while the unbudgeted paper-sized control run
 #      still completes with the documented verdicts.
-#   3. A concurrent-cancellation drill: a 4-job batch of a 4-user
+#   3. A concurrent-cancellation drill: a 4-job batch of a 5-user
 #      arbiter on 4 workers under an aggressive budget. Every job must
 #      trip its own governor (exit-3-style diagnostics per job), the
 #      fleet must report all jobs, and the process must exit 3 cleanly —
@@ -37,9 +37,10 @@ echo "== deadline-bounded large-arbiter run =="
 cargo build -q --release --bin smc --example export_smv
 TMP="$(mktemp "${TMPDIR:-/tmp}/smc_stress_arbiter.XXXXXX")"
 trap 'rm -f "$TMP"' EXIT
-# The 4-user arbiter finishes inside this budget since reachability is
-# chained, so the bounded run takes the 5-user one.
-./target/release/examples/export_smv 5 > "$TMP"
+# The 5-user arbiter finishes inside this budget (in about 4.5 s) since
+# its reachability and its verdict-only EUs are chained, so the bounded
+# run takes the 6-user one.
+./target/release/examples/export_smv 6 > "$TMP"
 
 # A few seconds of wall clock and a 200k-node cap on a model this size:
 # expect exit 3 (budget exhausted, diagnostics on stderr). Exit 1 is
@@ -70,9 +71,11 @@ echo "== concurrent-cancellation drill: 4-job batch under aggressive budgets =="
 BIG="$(mktemp "${TMPDIR:-/tmp}/smc_stress_big.XXXXXX")"
 MANIFEST="$(mktemp "${TMPDIR:-/tmp}/smc_stress_manifest.XXXXXX")"
 trap 'rm -f "$TMP" "$BIG" "$MANIFEST"' EXIT
-./target/release/examples/export_smv 4 > "$BIG"
+# The 4-user arbiter decides every spec under this cap since its
+# verdict-only EUs chain; the 5-user one trips in reachability.
+./target/release/examples/export_smv 5 > "$BIG"
 for _ in 1 2 3 4; do echo "$BIG" >> "$MANIFEST"; done
-# A 50k-node cap is far below what the 4-user arbiter needs, so every
+# A 50k-node cap is far below what the 5-user arbiter needs, so every
 # job must trip its own governor concurrently; the wall-clock deadline
 # is per job, giving each worker an independent cancellation source.
 set +e

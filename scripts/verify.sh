@@ -138,6 +138,21 @@ out=$(./target/release/smc reach --max-iters 64 "$arb") && rc=0 || rc=$?
 [ "$rc" -eq 0 ] || { echo "chained drill: expected exit 0, got $rc: $out"; exit 1; }
 grep -q '^reachable states: 11010048$' <<<"$out" \
     || { echo "chained drill: wrong reachable count: $out"; exit 1; }
+
+echo "== chained-EU drill (verdict-only EUs on the exported arbiter(3)) =="
+# Without --trace, formula-level EUs chain backwards over the same
+# events and record no rings. The verdicts and exit code equal the
+# traced run's; --stats counts about 254,000 created nodes, where
+# breadth-first EUs created 356,448, so a silent fallback to them fails
+# the 300,000 bound.
+out=$(./target/release/smc check --stats "$arb") && rc=0 || rc=$?
+traced=$(./target/release/smc check --trace "$arb") && trc=0 || trc=$?
+[ "$rc" -eq "$trc" ] || { echo "chained-EU drill: exit $rc, with --trace $trc"; exit 1; }
+[ "$(grep '^SPEC ' <<<"$out")" = "$(grep '^SPEC ' <<<"$traced")" ] \
+    || { echo "chained-EU drill: verdicts differ from --trace: $out"; exit 1; }
+created=$(sed -n 's/^nodes .* \([0-9]*\) created$/\1/p' <<<"$out")
+[ -n "$created" ] && [ "$created" -le 300000 ] \
+    || { echo "chained-EU drill: $created created nodes, expected at most 300000"; exit 1; }
 rm -f "$arb"
 
 echo "== computed-table smoke (a fresh manager starts at 4,096 entries) =="

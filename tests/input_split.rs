@@ -2,13 +2,16 @@
 //! exact: with `N = D_I ∧ R` installed, verdicts, traces and the image
 //! operators equal those of the monolithic relation. The event guards
 //! the inputs give are exact too: chained reachability over them finds
-//! the breadth-first reachable set.
+//! the breadth-first reachable set, and a verdict-only checker, whose
+//! `EU`s chain backwards over them, gives `Checker::new`'s traces when
+//! asked for them.
 
 use proptest::TestRng;
-use smc::bdd::Bdd;
-use smc::checker::Checker;
+use smc::bdd::{Bdd, Budget, TripReason};
+use smc::checker::{CheckError, Checker, Phase};
 use smc::circuits::{arbiter::arbiter, families, Netlist};
 use smc::kripke::SymbolicModel;
+use smc::logic::Ctl;
 use smc::smv::{compile, compile_with_options, CompileOptions};
 
 /// A hand-written model: a free six-valued input (so `D_I` is not
@@ -252,4 +255,82 @@ fn free_inputs_with_more_joint_values_than_state_bits_install_no_guards() {
     assert!(!events("MODULE main\nVAR i : 0..255; x : boolean;\nASSIGN next(x) := i = 3;\n"));
     // Six values on six bits.
     assert!(events(SCHEDULED));
+}
+
+/// A verdict-only checker records no rings for its chained `EU`s until
+/// a trace walks one. Asked through `check_with_trace`, or through
+/// `witness` and `counterexample` after a plain `check`, it gives the
+/// traces `Checker::new`'s `check_with_trace` gives, state for state.
+fn assert_verdict_only_traces_match(name: &str, source: &str) {
+    let opts = CompileOptions { allow_deadlock: true, ..CompileOptions::default() };
+    let load = || {
+        compile_with_options(source, None, Default::default(), opts)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let (mut eager, mut asked, mut walked) = (load(), load(), load());
+    let specs: Vec<Ctl> = eager.specs.iter().map(|s| s.formula.clone()).collect();
+    let mut eager = Checker::new(&mut eager.model);
+    let mut asked = Checker::new(&mut asked.model).verdicts_only();
+    let mut walked = Checker::new(&mut walked.model).verdicts_only();
+    for (k, spec) in specs.iter().enumerate() {
+        let want = eager.check_with_trace(spec).expect("checks");
+        let got = asked.check_with_trace(spec).expect("checks");
+        assert_eq!(got.verdict.holds(), want.verdict.holds(), "{name}: verdict of SPEC {k}");
+        assert_eq!(got.trace, want.trace, "{name}: check_with_trace of SPEC {k}");
+        let holds = walked.check(spec).expect("checks").holds();
+        assert_eq!(holds, want.verdict.holds(), "{name}: verdict of SPEC {k}");
+        if let Some(want) = want.trace {
+            let trace = if holds { walked.witness(spec) } else { walked.counterexample(spec) };
+            assert_eq!(trace.expect("explains"), want, "{name}: walked trace of SPEC {k}");
+        }
+    }
+}
+
+#[test]
+fn verdict_only_checkers_asked_for_traces_give_checker_news() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("models");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&dir).expect("models/") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_some_and(|e| e == "smv") {
+            let source = std::fs::read_to_string(&path).expect("readable");
+            assert_verdict_only_traces_match(&path.display().to_string(), &source);
+            seen += 1;
+        }
+    }
+    assert!(seen >= 6, "every bundled model was checked");
+    let (name, source) = &circuits()[0];
+    assert!(compile(source).expect("compiles").model.has_event_parts(), "{name} chains");
+    assert_verdict_only_traces_match(name, source);
+    assert_verdict_only_traces_match("scheduled", SCHEDULED);
+}
+
+/// An iteration cap between the sweep count and the breadth-first
+/// iteration count of a top-level `EU` decides the spec only when the
+/// `EU` chains, so a silent fallback to breadth-first search trips.
+#[test]
+fn only_the_chained_eu_fits_under_an_iteration_cap() {
+    let (_, source) = &circuits()[0];
+    let spec = &compile(source).expect("compiles").specs[1].formula;
+    assert_eq!(spec.to_string(), "AG (__spec1_0 -> AF __spec1_1)");
+    // On the exported arbiter(2), the top-level `EF` of this spec takes
+    // 11 sweeps chained and 26 iterations breadth-first; no other
+    // fixpoint of the check takes more than 6.
+    let cap = Budget::new().with_max_iterations(16);
+    // Loading computed the reachable set unbudgeted.
+    let mut chained = compile(source).expect("compiles");
+    chained.model.manager_mut().set_budget(cap.clone());
+    let verdict = Checker::new(&mut chained.model).verdicts_only().check(spec);
+    assert!(!verdict.expect("decided under the cap").holds(), "the liveness spec fails");
+
+    let mut breadth_first = compile(source).expect("compiles");
+    breadth_first.model.manager_mut().set_budget(cap);
+    match Checker::new(&mut breadth_first.model).check(spec) {
+        Err(CheckError::ResourceExhausted {
+            phase: Phase::EuFixpoint,
+            reason: TripReason::IterationLimit { iterations: 17, limit: 16 },
+            ..
+        }) => {}
+        other => panic!("breadth-first search should trip the cap: {other:?}"),
+    }
 }
