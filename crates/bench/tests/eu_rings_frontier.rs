@@ -5,7 +5,9 @@
 //!
 //! These tests re-implement the textbook recursions inline and compare
 //! against the optimized versions on the EXP-2/EXP-3 witness-shape
-//! models (single-SCC ring, SCC chain) and the fair-EG nesting. The
+//! models (single-SCC ring, SCC chain) and the fair-EG nesting, whose
+//! Gauss–Seidel rounds must end on the textbook rings of random models
+//! too. An `EU` given a stop set records a prefix of its rings. The
 //! verdict-only checker's chained `EU` records no rings, but its set
 //! must be the very BDD of the last ring: on random models over random
 //! event guards, and on the exported Seitz arbiter.
@@ -111,7 +113,7 @@ fn eu_rings_bit_identical_to_full_preimage_iteration() {
         let np = model.manager_mut().not(p);
         for (f, g) in [(Bdd::TRUE, p), (np, p), (p, np)] {
             let expected = eu_rings_reference(&mut model, f, g);
-            let actual = eu_rings(&mut model, f, g).unwrap();
+            let actual = eu_rings(&mut model, f, g, Bdd::FALSE).unwrap();
             assert_eq!(expected.len(), actual.len(), "{name}: ring count diverged");
             for (i, (e, a)) in expected.iter().zip(&actual).enumerate() {
                 assert_eq!(e, a, "{name}: ring {i} not bit-identical");
@@ -171,6 +173,103 @@ impl Rng {
     fn one_in(&mut self, n: usize) -> bool {
         self.below(n) == 0
     }
+}
+
+/// A random total graph on 32 states, one to three successors each.
+fn random_model(rng: &mut Rng) -> SymbolicModel {
+    const BITS: usize = 5;
+    let mut b = SymbolicModelBuilder::new();
+    let ids: Vec<_> = (0..BITS).map(|i| b.bool_var(&format!("x{i}")).unwrap()).collect();
+    b.init_zero();
+    let cur: Vec<Bdd> = ids.iter().map(|&id| b.cur(id)).collect();
+    let nxt: Vec<Bdd> = ids.iter().map(|&id| b.next(id)).collect();
+    let m = b.manager_mut();
+    let mut trans = Bdd::FALSE;
+    for s in 0..1 << BITS {
+        for _ in 0..1 + rng.below(3) {
+            let from = cube(m, &cur, s);
+            let to = cube(m, &nxt, rng.below(1 << BITS));
+            let edge = m.and(from, to);
+            trans = m.or(trans, edge);
+        }
+    }
+    b.constrain_trans(trans);
+    b.build().unwrap()
+}
+
+/// The minterm of state `s` over the literals `lits` (bit `k` of `s` is
+/// `lits[k]`).
+fn cube(m: &mut smc_bdd::BddManager, lits: &[Bdd], s: usize) -> Bdd {
+    let mut acc = Bdd::TRUE;
+    for (k, &lit) in lits.iter().enumerate() {
+        let lit = if s >> k & 1 == 1 { lit } else { m.not(lit) };
+        acc = m.and(acc, lit);
+    }
+    acc
+}
+
+/// A random set of the 32 states of a [`random_model`], each state in it
+/// with probability `1/one_in`.
+fn random_set(model: &mut SymbolicModel, rng: &mut Rng, one_in: usize) -> Bdd {
+    let bits: Vec<Bdd> = (0..5).map(|i| model.ap(&format!("x{i}")).unwrap()).collect();
+    let m = model.manager_mut();
+    let mut set = Bdd::FALSE;
+    for s in 0..32 {
+        if rng.one_in(one_in) {
+            let c = cube(m, &bits, s);
+            set = m.or(set, c);
+        }
+    }
+    set
+}
+
+#[test]
+fn gauss_seidel_fair_eg_ends_on_the_textbook_rings_of_random_models() {
+    let mut nonempty = 0;
+    for case in 0..400u64 {
+        let mut rng = Rng(0xD1B5_4A32_D192_ED03 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut model = random_model(&mut rng);
+        let constraints: Vec<Bdd> =
+            (0..1 + rng.below(4)).map(|_| random_set(&mut model, &mut rng, 4)).collect();
+        let f = random_set(&mut model, &mut rng, 2);
+        for body in [f, Bdd::TRUE] {
+            let (z_ref, rings_ref) = fair_eg_with_rings_reference(&mut model, body, &constraints);
+            let (z, rings) = fair_eg(&mut model, body, &constraints).unwrap();
+            assert_eq!(z, z_ref, "case {case}: fixpoint");
+            nonempty += usize::from(!z.is_false());
+            if z.is_false() {
+                assert_eq!(rings, vec![vec![Bdd::FALSE]; constraints.len()], "case {case}");
+            } else {
+                assert_eq!(rings, rings_ref, "case {case}: rings");
+            }
+        }
+    }
+    assert!(nonempty >= 50, "only {nonempty} of 800 fixpoints are non-empty");
+}
+
+#[test]
+fn a_stopped_eu_records_the_prefix_through_the_first_ring_meeting_the_stop_set() {
+    let mut stopped_early = 0;
+    for case in 0..100u64 {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D ^ case.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let mut model = random_model(&mut rng);
+        let f = random_set(&mut model, &mut rng, 2);
+        let g = random_set(&mut model, &mut rng, 8);
+        let full = eu_rings(&mut model, f, g, Bdd::FALSE).unwrap();
+        assert_eq!(full, eu_rings_reference(&mut model, f, g), "case {case}: unstopped");
+        for one_in in [2, 8, 32] {
+            let stop = random_set(&mut model, &mut rng, one_in);
+            let meets = full.iter().position(|&ring| model.manager_mut().intersects(ring, stop));
+            let want = meets.map_or(&full[..], |j| &full[..=j]);
+            let got = eu_rings(&mut model, f, g, stop).unwrap();
+            assert_eq!(got, want, "case {case}: stopped at {meets:?}");
+            stopped_early += usize::from(got.len() < full.len());
+        }
+        if !g.is_false() {
+            assert_eq!(eu_rings(&mut model, f, g, g).unwrap(), vec![g], "case {case}");
+        }
+    }
+    assert!(stopped_early >= 50, "only {stopped_early} of 300 EUs stopped early");
 }
 
 /// How a random case's guards cover the transitions.
@@ -250,14 +349,6 @@ fn random_event_model(rng: &mut Rng, kind: Guards) -> (SymbolicModel, bool) {
     let cur: Vec<Bdd> = ids.iter().map(|&id| b.cur(id)).collect();
     let nxt: Vec<Bdd> = ids.iter().map(|&id| b.next(id)).collect();
     let m = b.manager_mut();
-    let cube = |m: &mut smc_bdd::BddManager, lits: &[Bdd], s: usize| {
-        let mut acc = Bdd::TRUE;
-        for (k, &lit) in lits.iter().enumerate() {
-            let lit = if s >> k & 1 == 1 { lit } else { m.not(lit) };
-            acc = m.and(acc, lit);
-        }
-        acc
-    };
     let mut trans = Bdd::FALSE;
     for (s, targets) in succ.iter().enumerate() {
         for &t in targets {
@@ -313,7 +404,7 @@ fn chained_eu_equals_the_last_ring_on_random_guarded_models() {
             let nf = model.manager_mut().not(f);
             let mut want = Vec::new();
             for (lhs, rhs) in [(f, g), (Bdd::TRUE, g), (nf, g)] {
-                let rings = eu_rings(&mut model, lhs, rhs).unwrap();
+                let rings = eu_rings(&mut model, lhs, rhs, Bdd::FALSE).unwrap();
                 let textbook = eu_rings_reference(&mut model, lhs, rhs);
                 assert_eq!(rings.last(), textbook.last(), "case {case} {kind:?}");
                 want.push(rings[rings.len() - 1]);

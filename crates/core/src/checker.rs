@@ -74,8 +74,11 @@ impl Memo {
 /// Borrows the model mutably (all BDD work happens in the model's
 /// manager). Sub-formula results are memoized per checker instance,
 /// together with the rings of every `EU`/`EG` fixpoint, so each fixpoint
-/// runs once per formula node. A [verdict-only](Self::verdicts_only)
-/// checker computes its `EU` sets without rings where it can.
+/// runs once per formula node. So is every fair lasso, by `EG` node and
+/// start state: a trace that needs one again (a repeated spec, or two
+/// finite witnesses extended from the same state by the fair `EG true`
+/// lasso) reuses it. A [verdict-only](Self::verdicts_only) checker
+/// computes its `EU` sets without rings where it can.
 ///
 /// # Examples
 ///
@@ -101,6 +104,10 @@ pub struct Checker<'m> {
     model: &'m mut SymbolicModel,
     strategy: CycleStrategy,
     cache: HashMap<Ctl, Memo>,
+    /// Fair lassos by the body of their `EG` node and start state, with
+    /// the statistics of their construction. No BDD handles: a trace is
+    /// states.
+    lassos: HashMap<(Ctl, State), (Trace, WitnessStats)>,
     last_stats: Option<WitnessStats>,
     pin_depth: u32,
     /// Chain formula-level `EU` fixpoints where the model allows it.
@@ -115,6 +122,7 @@ impl<'m> Checker<'m> {
             model,
             strategy: CycleStrategy::default(),
             cache: HashMap::new(),
+            lassos: HashMap::new(),
             last_stats: None,
             pin_depth: 0,
             verdicts_only: false,
@@ -166,9 +174,11 @@ impl<'m> Checker<'m> {
         result
     }
 
-    /// Selects the cycle-closing strategy for fair-`EG` witnesses.
+    /// Selects the cycle-closing strategy for fair-`EG` witnesses; fair
+    /// lassos built under another one are forgotten.
     pub fn with_strategy(mut self, strategy: CycleStrategy) -> Checker<'m> {
         self.strategy = strategy;
+        self.lassos.clear();
         self
     }
 
@@ -177,20 +187,22 @@ impl<'m> Checker<'m> {
         self.model
     }
 
-    /// Statistics of the most recent fair-`EG` witness construction.
+    /// Statistics of the most recent fair-`EG` witness construction (a
+    /// lasso reused from an earlier trace restores its statistics).
     pub fn last_witness_stats(&self) -> Option<WitnessStats> {
         self.last_stats
     }
 
     /// Reclaims BDD garbage accumulated by the checks so far: drops the
     /// sub-formula memo (whose entries pin their nodes via protection)
-    /// and collects everything unreachable from the model's protected
-    /// structure. Subsequent checks recompute what they need; however,
-    /// any [`Verdict::states`] BDD handles from *earlier* checks become
-    /// invalid unless the caller protected them first. Returns the
-    /// number of reclaimed nodes.
+    /// and the fair lassos, and collects everything unreachable from the
+    /// model's protected structure. Subsequent checks recompute what
+    /// they need; however, any [`Verdict::states`] BDD handles from
+    /// *earlier* checks become invalid unless the caller protected them
+    /// first. Returns the number of reclaimed nodes.
     pub fn gc(&mut self) -> usize {
         self.cache.clear();
+        self.lassos.clear();
         self.model.manager_mut().gc(&[])
     }
 
@@ -433,7 +445,7 @@ impl<'m> Checker<'m> {
                     let set = eu_chained(self.model, sf, target)?;
                     return Ok(Memo { set, rings: Vec::new() });
                 }
-                let rings = eu_rings(self.model, sf, target)?;
+                let rings = eu_rings(self.model, sf, target, Bdd::FALSE)?;
                 return Ok(Memo { set: rings[rings.len() - 1], rings: vec![rings] });
             }
             Ctl::Eg(f) => {
@@ -470,7 +482,7 @@ impl<'m> Checker<'m> {
             return Ok(rings.clone());
         }
         let (sf, target) = self.eu_operands(f, g)?;
-        let rings = eu_rings(self.model, sf, target)?;
+        let rings = eu_rings(self.model, sf, target, Bdd::FALSE)?;
         for &b in &rings {
             self.model.manager_mut().protect(b);
         }
@@ -541,14 +553,7 @@ impl<'m> Checker<'m> {
                 let tail = self.explain(&last, g)?;
                 Ok(splice(path, tail))
             }
-            Ctl::Eg(f) => {
-                let sf = self.check_enf(f)?;
-                let Memo { set, rings } = self.memo(formula)?.clone();
-                let (lasso, stats) =
-                    witness_eg_fair(self.model, sf, set, &rings, state, self.strategy)?;
-                self.last_stats = Some(stats);
-                Ok(lasso)
-            }
+            Ctl::Eg(f) => self.fair_lasso(f, state),
             other => {
                 let enf = other.to_existential_form();
                 debug_assert_ne!(&enf, other, "normalisation must make progress");
@@ -571,11 +576,26 @@ impl<'m> Checker<'m> {
                 CheckError::WitnessConstruction("cannot fair-extend an empty trace".into())
             })?
             .clone();
-        let Memo { set, rings } = self.memo(&Ctl::eg(Ctl::True))?.clone();
-        let (lasso, stats) =
-            witness_eg_fair(self.model, Bdd::TRUE, set, &rings, &last, self.strategy)?;
-        self.last_stats = Some(stats);
+        let lasso = self.fair_lasso(&Ctl::True, &last)?;
         Ok(splice(trace.states, lasso))
+    }
+
+    /// The fair lasso of `EG body` from `state`, built by the Section 6
+    /// walk over the memoized rings on the first call and reused after.
+    /// Either way [`last_witness_stats`](Self::last_witness_stats) reports
+    /// its construction.
+    fn fair_lasso(&mut self, body: &Ctl, state: &State) -> Result<Trace, CheckError> {
+        let key = (body.clone(), state.clone());
+        if let Some((lasso, stats)) = self.lassos.get(&key) {
+            self.last_stats = Some(*stats);
+            return Ok(lasso.clone());
+        }
+        let f = self.check_enf(body)?;
+        let Memo { set, rings } = self.memo(&Ctl::eg(body.clone()))?.clone();
+        let (lasso, stats) = witness_eg_fair(self.model, f, set, &rings, state, self.strategy)?;
+        self.last_stats = Some(stats);
+        self.lassos.insert(key, (lasso.clone(), stats));
+        Ok(lasso)
     }
 }
 

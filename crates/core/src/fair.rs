@@ -34,6 +34,15 @@ pub type FairRings = Vec<Vec<Bdd>>;
 /// sequence of approximations"). An empty fixpoint has the single ring
 /// `[∅]` per constraint.
 ///
+/// The outer rounds are Gauss–Seidel rather than Jacobi: within a round
+/// each constraint's `EU` targets the set the constraints before it have
+/// just narrowed, and the visiting order alternates between rounds.
+/// Chaotic iteration of these monotone conjuncts from `f` reaches the
+/// same greatest fixpoint, and never in more rounds: each round's result
+/// lies inside the Jacobi round's. The round that ends the loop changes
+/// nothing, so its targets are the textbook `Z ∧ hₖ` and its rings the
+/// textbook ones.
+///
 /// With `H` empty the constraint conjunction is vacuous and this degrades
 /// to plain `EG f` (every path is fair), with no rings.
 ///
@@ -70,13 +79,13 @@ fn fair_eg_inner(
     f: Bdd,
     constraints: &[Bdd],
 ) -> Result<(Bdd, FairRings), CheckError> {
-    // `seeds[k]` is the previous outer iteration's inner EU result for
-    // constraint k. Targets `Z ∧ hₖ` shrink monotonically with Z, so
-    // E[f U t] = E[(f ∧ seed) U t], ring by ring: every state on a
-    // witnessing prefix for the smaller target already sat in the
-    // previous (larger) EU set. Restricting f this way lets the inner
-    // fixpoints run over the already-narrowed state space, and the rings
-    // of the last iteration are the textbook ones.
+    // `seeds[k]` is constraint k's inner EU result from the previous
+    // round. Targets shrink monotonically, so E[f U t] = E[(f ∧ seed) U t],
+    // ring by ring: every state on a witnessing prefix for the smaller
+    // target already sat in the previous (larger) EU set. Restricting f
+    // this way lets the inner fixpoints run over the already-narrowed
+    // state space, and the rings of the last iteration are the textbook
+    // ones.
     let mut seeds: Vec<Bdd> = vec![f; constraints.len()];
     let mut watch = FixObserver::new(model, FixKind::FairEgOuter);
     let mut z = f;
@@ -85,11 +94,15 @@ fn fair_eg_inner(
         let mut guard = vec![z];
         guard.extend_from_slice(&seeds);
         govern::protect_all(model, &guard);
-        let step = fair_eg_step(model, f, constraints, z, &seeds);
+        // Round 1 visits the constraints forward, round 2 in reverse, and
+        // so on, as reachability's sweeps alternate the events.
+        let step = fair_eg_step(model, f, constraints, z, &seeds, outer % 2 == 1);
         govern::unprotect_all(model, &guard);
         let (next, rings) = step?;
         for (seed, seq) in seeds.iter_mut().zip(&rings) {
-            *seed = seq[seq.len() - 1];
+            if let Some(&last) = seq.last() {
+                *seed = last;
+            }
         }
         outer += 1;
         let mut roots = vec![z, next];
@@ -117,37 +130,43 @@ fn fair_eg_inner(
     Ok((z, rings))
 }
 
-/// One outer iteration: `f ∧ ⋀ₖ EX(E[f U (Z ∧ hₖ)])`, with each inner EU
-/// restricted by its seed from the previous iteration. Also returns the
-/// rings each inner EU recorded, in constraint order; the step stops
-/// early once the conjunction is empty.
+/// One Gauss–Seidel round from `Z`: starting at `acc = Z`, each
+/// constraint `k` in turn (in reverse when `reverse`) conjoins
+/// `EX(E[f U (acc ∧ hₖ)])` into `acc`, so it sees the set the constraints
+/// before it just narrowed. Each inner `EU` is restricted by its seed from
+/// the previous round. Returns `acc` and the rings each inner `EU`
+/// recorded, in constraint order; the round stops early once `acc` is
+/// empty, leaving the rest of the ring lists empty.
 fn fair_eg_step(
     model: &mut SymbolicModel,
     f: Bdd,
     constraints: &[Bdd],
     z: Bdd,
     seeds: &[Bdd],
+    reverse: bool,
 ) -> Result<(Bdd, FairRings), CheckError> {
-    let mut acc = f;
-    let mut rings = FairRings::with_capacity(constraints.len());
+    let n = constraints.len();
+    let mut acc = z;
+    let mut rings: FairRings = vec![Vec::new(); n];
     let mut shield: Vec<Bdd> = Vec::new();
     let mut step = |model: &mut SymbolicModel, shield: &mut Vec<Bdd>| {
-        for (&h, &seed) in constraints.iter().zip(seeds) {
+        for i in 0..n {
+            let k = if reverse { n - 1 - i } else { i };
             if acc.is_false() {
                 break;
             }
-            let target = model.manager_mut().and(z, h);
-            let f_seeded = model.manager_mut().and(f, seed);
+            let target = model.manager_mut().and(acc, constraints[k]);
+            let f_seeded = model.manager_mut().and(f, seeds[k]);
             // Keep this round's working set, rings included, safe across
             // the later inner EUs' checkpoints (which may run the
             // degradation ladder's GC).
             govern::protect_all(model, &[acc, target, f_seeded]);
             shield.extend([acc, target, f_seeded]);
-            let seq = eu_rings(model, f_seeded, target)?;
+            let seq = eu_rings(model, f_seeded, target, Bdd::FALSE)?;
             govern::protect_all(model, &seq);
             shield.extend_from_slice(&seq);
             let ex = check_ex(model, seq[seq.len() - 1]);
-            rings.push(seq);
+            rings[k] = seq;
             acc = model.manager_mut().and(acc, ex);
         }
         Ok(acc)

@@ -1,7 +1,8 @@
 //! The basic CTL fixpoint operators of Section 4: `CheckEX`, `CheckEU`
 //! and `CheckEG`. `CheckEU` has two loops. The breadth-first one records
 //! its rings: the witness generator replays them backwards, and callers
-//! that need only the fixpoint take the last one. The chained one
+//! that need only the fixpoint take the last one. Given a stop set, it
+//! ends at the first ring that meets it. The chained one
 //! records none and sweeps backwards over the model's events; the
 //! verdict-only checker runs it for formula-level `EU`s when the model
 //! has event parts.
@@ -39,14 +40,21 @@ pub fn check_ex(model: &mut SymbolicModel, f: Bdd) -> Bdd {
 ///
 /// [`CheckError::ResourceExhausted`] if the manager's budget trips.
 pub fn check_eu(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, CheckError> {
-    let rings = eu_rings(model, f, g)?;
+    let rings = eu_rings(model, f, g, Bdd::FALSE)?;
     Ok(rings[rings.len() - 1])
 }
 
-/// `CheckEU` with the full increasing approximation sequence
-/// `Q₀ ⊆ Q₁ ⊆ …` (the "onion rings"): `Qᵢ` is the set of states that can
-/// reach `g` in `i` or fewer steps while passing only through `f`-states.
-/// The last element is the `E[f U g]` fixpoint; the list is never empty.
+/// `CheckEU` with the increasing approximation sequence `Q₀ ⊆ Q₁ ⊆ …`
+/// (the "onion rings"): `Qᵢ` is the set of states that can reach `g` in
+/// `i` or fewer steps while passing only through `f`-states. The list is
+/// never empty.
+///
+/// The loop ends after the first ring that meets `stop`, or at the
+/// fixpoint if none does; then the last element is the `E[f U g]`
+/// fixpoint. With `stop = ∅` the whole sequence is recorded. A stopped
+/// list is a prefix of the full one: the closing arc of a fair-`EG`
+/// witness passes the successors of the state it closes from, since its
+/// walk never reads past the first ring one of them lies in.
 ///
 /// Section 6 of the paper saves exactly these sequences (from the last
 /// outer fair-`EG` iteration) so witness construction can walk a shortest
@@ -62,20 +70,34 @@ pub fn check_eu(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, CheckE
 ///
 /// [`CheckError::ResourceExhausted`] if the manager's budget trips; the
 /// partial report carries the number of rings recorded so far.
-pub fn eu_rings(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
+pub fn eu_rings(
+    model: &mut SymbolicModel,
+    f: Bdd,
+    g: Bdd,
+    stop: Bdd,
+) -> Result<Vec<Bdd>, CheckError> {
     let span = obs::span_start(model, SpanKind::CheckEu, None);
-    let result = eu_rings_inner(model, f, g);
+    let result = eu_rings_inner(model, f, g, stop);
     obs::span_end(model, span);
     result
 }
 
-fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
+fn eu_rings_inner(
+    model: &mut SymbolicModel,
+    f: Bdd,
+    g: Bdd,
+    stop: Bdd,
+) -> Result<Vec<Bdd>, CheckError> {
     let mut watch = FixObserver::new(model, FixKind::Eu);
     let mut rings = vec![g];
     let mut z = g;
     let mut frontier = g;
     let mut iters = 0u64;
-    while !frontier.is_false() {
+    // The rings before the newest miss `stop`, so only its new states
+    // can meet it.
+    while !frontier.is_false()
+        && (stop.is_false() || !model.manager_mut().intersects(frontier, stop))
+    {
         let ex = check_ex(model, frontier);
         let step = model.manager_mut().and(f, ex);
         let add = model.manager_mut().diff(step, z);
@@ -85,9 +107,10 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
         let next = if done { z } else { model.manager_mut().or(z, add) };
         // Every recorded ring must survive a ladder GC, so the whole
         // prefix rides along as checkpoint roots (appended to the ring
-        // list for the call only).
+        // list for the call only), and so does the stop set, which the
+        // loop tests after the checkpoint.
         let recorded = rings.len();
-        rings.extend([f, g, next, add]);
+        rings.extend([f, g, stop, next, add]);
         let safe = govern::checkpoint(model, Phase::EuFixpoint, progress, &rings);
         rings.truncate(recorded);
         safe?;
@@ -99,8 +122,8 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
         frontier = add;
         watch.iter(model, iters, frontier, z);
     }
-    // Zero-iteration case (g = ∅): no checkpoint ran, and a pending trip
-    // must not escape as a bogus Ok.
+    // Zero-iteration case (g = ∅, or g meets the stop set): no
+    // checkpoint ran, and a pending trip must not escape as a bogus Ok.
     govern::poll(
         model,
         Phase::EuFixpoint,
@@ -265,7 +288,7 @@ mod tests {
         let hi = m.ap("hi").unwrap();
         let lo = m.ap("lo").unwrap();
         let sat = m.manager_mut().and(hi, lo);
-        let rings = eu_rings(&mut m, Bdd::TRUE, sat).unwrap();
+        let rings = eu_rings(&mut m, Bdd::TRUE, sat, Bdd::FALSE).unwrap();
         // 11 at distance 0; 10 at 1; 01 at 2; 00 at 3.
         assert_eq!(rings.len(), 4);
         for w in rings.windows(2) {

@@ -7,20 +7,28 @@
 //!
 //! 1. The check evaluated the fair-`EG` fixpoint and saved the inner
 //!    `EU` approximation sequences `Q_i^h` of its **last** outer
-//!    iteration; the witness only walks them.
+//!    iteration; the witness only walks them. (The outer rounds are
+//!    Gauss–Seidel, but the last one changes nothing, so its rings are
+//!    the textbook `E[f U (Z ∧ h)]` ones.)
 //! 2. From the current state, probe the saved rings for increasing `i` to
 //!    find the *nearest* pending fairness constraint, hop to a successor
 //!    in that ring, and descend ring by ring until the constraint is hit.
 //!    Repeat until every constraint has been visited; call the final
 //!    state `s′` and the first hopped-to state `t` (the cycle anchor).
-//! 3. Close the cycle with a witness for `{s′} ∧ EX E[f U {t}]`. If no
-//!    such path exists, **restart** from `s′` — each restart descends the
-//!    DAG of strongly connected components (Figure 2), so the procedure
+//! 3. Close the cycle with a witness for `{s′} ∧ EX E[f U {t}]`. Its `EU`
+//!    stops at the first ring a successor of `s′` lies in: the arc
+//!    starts there and only descends, so it never reads a later ring. If
+//!    no such path exists (the `EU` runs to its fixpoint without meeting
+//!    a successor), **restart** from `s′` — each restart descends the DAG
+//!    of strongly connected components (Figure 2), so the procedure
 //!    terminates, typically after very few restarts.
 //!
 //! The *stay-set* refinement precomputes `E[(EG f) U {t}]` and restarts
 //! the moment the constraint-hopping walk leaves it, detecting doomed
 //! cycles early ("a slightly more sophisticated approach" in the paper).
+//!
+//! The [`Checker`](crate::Checker) builds each lasso once: it keeps the
+//! trace and its [`WitnessStats`] by `EG` node and start state.
 
 use smc_bdd::Bdd;
 use smc_kripke::{State, SymbolicModel};
@@ -80,7 +88,7 @@ pub fn witness_eg_fair(
     // the rings of that constraint lead back into `EG f` itself.
     let plain;
     let rings = if rings.is_empty() {
-        plain = [eu_rings(model, f, egf)?];
+        plain = [eu_rings(model, f, egf, Bdd::FALSE)?];
         &plain[..]
     } else {
         rings
@@ -265,10 +273,12 @@ fn attempt_cycle_inner(
     let (anchor_index, anchor_state) = anchor
         .ok_or_else(|| CheckError::WitnessConstruction("cycle attempt chose no anchor".into()))?;
 
-    // Close the cycle: a nontrivial f-path current -> anchor.
+    // Close the cycle: a nontrivial f-path current -> anchor. The arc
+    // starts at the successor in the smallest ring, so the rings past the
+    // first one a successor lies in are never read: the EU stops there.
     let anchor_bdd = model.state_bdd(&anchor_state);
-    let close_rings = eu_rings(model, f, anchor_bdd)?;
     let succ = model.successors(&current);
+    let close_rings = eu_rings(model, f, anchor_bdd, succ)?;
     govern::poll(model, Phase::WitnessEg, progress(&attempt))?;
     let reach_anchor = *close_rings
         .last()

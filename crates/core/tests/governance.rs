@@ -9,7 +9,9 @@
 //! states, same BDD node ids. Both checkers are driven: `Checker::new`
 //! and the verdict-only one, whose `EU`s chain backwards over a model's
 //! events (built lazily at the first sweep) and record rings only when a
-//! trace walks them.
+//! trace walks them. On an exported circuit whose fair `EG` takes
+//! several Gauss–Seidel rounds, every allocation of a traced check takes
+//! a fault.
 
 use proptest::prelude::*;
 use smc_bdd::{Bdd, Budget, FaultPlan, TripReason};
@@ -59,6 +61,14 @@ fn selected() -> SymbolicModel {
     model.reachable().expect("reachable");
     assert!(model.has_event_parts());
     model
+}
+
+/// The exported five-stage C-element ring: `AG AF c0` needs the fair
+/// `EG !c0` (three outer rounds, the second in reverse order), and its
+/// witness the fair `EG TRUE` lasso with its closing arc.
+fn c_element_ring_5() -> SymbolicModel {
+    let source = smc_circuits::families::c_element_ring(5).to_smv();
+    smc_smv::compile(&source).expect("the export compiles").model
 }
 
 /// `Checker::new`, or its verdict-only form.
@@ -240,6 +250,14 @@ fn chained_eus_recover_from_faults_at_every_allocation() {
     });
 }
 
+#[test]
+fn multi_round_fair_eg_recovers_from_faults_at_every_allocation() {
+    let spec = ctl::parse("AG AF c0").expect("parse");
+    assert_fault_recovery_everywhere("fair check_with_trace", c_element_ring_5, |c| {
+        c.check_with_trace(&spec).map(|o| (o.verdict.holds(), o.verdict.states, o.trace))
+    });
+}
+
 /// Uninterrupted reference for the property below: verdict of
 /// `AG (AF x)` and the full EU onion-ring sequence of `E[!x U x]` on the
 /// toggle model.
@@ -247,7 +265,7 @@ fn toggle_reference() -> (bool, Vec<Bdd>, Trace) {
     let mut m = toggle();
     let x = m.ap("x").expect("declared");
     let nx = m.manager_mut().not(x);
-    let rings = eu_rings(&mut m, nx, x).expect("unbudgeted rings");
+    let rings = eu_rings(&mut m, nx, x, Bdd::FALSE).expect("unbudgeted rings");
     let mut c = Checker::new(&mut m);
     let holds = c.check(&ctl::parse("AG (AF x)").expect("parse")).expect("verdict").holds();
     let trace = c.witness(&ctl::parse("EF x").expect("parse")).expect("witness");
@@ -281,12 +299,12 @@ proptest! {
         let rings = {
             let x = m.ap("x").expect("declared");
             let nx = m.manager_mut().not(x);
-            match eu_rings(&mut m, nx, x) {
+            match eu_rings(&mut m, nx, x, Bdd::FALSE) {
                 Ok(r) => r,
                 Err(CheckError::ResourceExhausted { .. }) => {
                     let x = m.ap("x").expect("declared");
                     let nx = m.manager_mut().not(x);
-                    eu_rings(&mut m, nx, x).expect("one-shot fault cannot re-fire")
+                    eu_rings(&mut m, nx, x, Bdd::FALSE).expect("one-shot fault cannot re-fire")
                 }
                 Err(other) => panic!("rings: unexpected error: {other}"),
             }

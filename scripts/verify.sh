@@ -142,9 +142,9 @@ grep -q '^reachable states: 11010048$' <<<"$out" \
 echo "== chained-EU drill (verdict-only EUs on the exported arbiter(3)) =="
 # Without --trace, formula-level EUs chain backwards over the same
 # events and record no rings. The verdicts and exit code equal the
-# traced run's; --stats counts about 254,000 created nodes, where
-# breadth-first EUs created 356,448, so a silent fallback to them fails
-# the 300,000 bound.
+# traced run's; --stats counts about 231,000 created nodes, where
+# breadth-first EUs created 356,448 before fair EG went Gauss-Seidel, so
+# a silent fallback to them fails the 300,000 bound.
 out=$(./target/release/smc check --stats "$arb") && rc=0 || rc=$?
 traced=$(./target/release/smc check --trace "$arb") && trc=0 || trc=$?
 [ "$rc" -eq "$trc" ] || { echo "chained-EU drill: exit $rc, with --trace $trc"; exit 1; }
@@ -153,6 +153,28 @@ traced=$(./target/release/smc check --trace "$arb") && trc=0 || trc=$?
 created=$(sed -n 's/^nodes .* \([0-9]*\) created$/\1/p' <<<"$out")
 [ -n "$created" ] && [ "$created" -le 300000 ] \
     || { echo "chained-EU drill: $created created nodes, expected at most 300000"; exit 1; }
+
+echo "== fair-EG drill (Gauss-Seidel rounds and early closing arcs) =="
+# Fair EG's outer rounds narrow the candidate set constraint by
+# constraint and alternate the visiting order: the exported arbiter(3)
+# takes 7 rounds in its three fair_eg spans, where Jacobi rounds took
+# 10. The verdicts and exit code equal the traced run's.
+out=$(./target/release/smc check --profile "$arb") && rc=0 || rc=$?
+[ "$rc" -eq "$trc" ] || { echo "fair-EG drill: exit $rc, with --trace $trc"; exit 1; }
+[ "$(grep '^SPEC ' <<<"$out")" = "$(grep '^SPEC ' <<<"$traced")" ] \
+    || { echo "fair-EG drill: verdicts differ from --trace: $out"; exit 1; }
+rounds=$(awk '$1 == "fair_eg" { print $7 }' <<<"$out")
+[ -n "$rounds" ] && [ "$rounds" -le 7 ] \
+    || { echo "fair-EG drill: $rounds fair_eg rounds, expected at most 7"; exit 1; }
+# With the closing arcs' EUs stopped at the ring they need, the traced
+# check of the exported arbiter(2) creates about 222,000 nodes; Jacobi
+# rounds created 278,315, Gauss-Seidel rounds alone 267,172.
+./target/release/examples/export_smv 2 > "$arb"
+out=$(./target/release/smc check --trace --stats "$arb") && rc=0 || rc=$?
+[ "$rc" -eq 1 ] || { echo "fair-EG drill: arbiter(2) --trace should exit 1, got $rc"; exit 1; }
+created=$(sed -n 's/^nodes .* \([0-9]*\) created$/\1/p' <<<"$out")
+[ -n "$created" ] && [ "$created" -le 240000 ] \
+    || { echo "fair-EG drill: $created created nodes, expected at most 240000"; exit 1; }
 rm -f "$arb"
 
 echo "== computed-table smoke (a fresh manager starts at 4,096 entries) =="

@@ -878,11 +878,14 @@ fn bench_gates_against_a_ledger_and_appends_history() {
     let ledger =
         std::env::temp_dir().join(format!("smc_cli_test_bench_{}.json", std::process::id()));
     std::fs::remove_file(&ledger).ok();
+    // Walls are best-of-5 on both sides of the gate: one repetition of
+    // the sub-millisecond `mutex` phases against another tripped the
+    // 400% tolerance whenever the host was busy.
     let base = || {
         let mut cmd = smc();
         cmd.arg("bench")
             .arg("--reps")
-            .arg("1")
+            .arg("5")
             .arg("--families")
             .arg("mutex")
             .arg("--baseline")
