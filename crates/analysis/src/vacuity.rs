@@ -45,7 +45,9 @@ pub(crate) fn run(compiled: &mut CompiledModel, report: &mut Report) -> Result<(
     let specs = compiled.specs.clone();
     let mut findings: Vec<Finding> = Vec::new();
     {
-        let mut checker = Checker::new(&mut compiled.model);
+        // Most checks here need no trace; the first walk of a chained
+        // `EU` records its rings when a witness is asked for.
+        let mut checker = Checker::new(&mut compiled.model).verdicts_only();
         'specs: for (spec_index, spec) in specs.iter().enumerate() {
             let verdict = match checker.check(&spec.formula) {
                 Ok(v) => v,

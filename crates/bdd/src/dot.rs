@@ -9,7 +9,10 @@ impl BddManager {
     /// Renders the shared graph of the given roots as Graphviz DOT text.
     ///
     /// Solid edges are `high` (variable = 1) children, dashed edges are
-    /// `low` children; roots are annotated with their handle ids.
+    /// `low` children; roots are annotated with their handle ids. Nodes
+    /// are named by pool id, so the same function may get other names
+    /// after other work (a build that creates fewer nodes on the way
+    /// renumbers the graph); the graph is the same up to names.
     pub fn to_dot(&self, roots: &[Bdd]) -> String {
         let mut out = String::from("digraph bdd {\n  rankdir=TB;\n");
         out.push_str("  node [shape=circle];\n");

@@ -27,7 +27,13 @@
 //! - Quantification ([`BddManager::exists`], [`BddManager::forall`], one
 //!   recursion) and the fused relational product
 //!   ([`BddManager::and_exists`]) operate over *cubes* (conjunctions of
-//!   variables).
+//!   variables). Told the current/next variable pairs once
+//!   ([`BddManager::set_pairs`]), the manager also switches rails inside
+//!   the product: [`BddManager::rel_next`] is `and_exists` generalised to
+//!   rename next variables back (an image), [`BddManager::rel_prev`]
+//!   reads its set on the next rail (a preimage). One cube says what each
+//!   does to each pair. [`BddManager::rename`] is on no image path; the
+//!   products compose with it only while reordering splits a pair.
 //! - Garbage collection is explicit: protect the roots you need with
 //!   [`BddManager::protect`], then call [`BddManager::gc`]. The manager
 //!   never collects behind your back.

@@ -221,7 +221,8 @@ impl UniqueTable {
 // ---------------------------------------------------------------------
 
 /// Operation tags for the computed table. The discriminant doubles as
-/// the index into the per-operation stats counters.
+/// the index into the per-operation stats counters, except that
+/// `RelNext`, `and_exists` generalised, counts in `AndExists`'s row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub(crate) enum CacheOp {
@@ -235,15 +236,38 @@ pub(crate) enum CacheOp {
     AndExists = 7,
     Constrain = 8,
     Diff = 9,
+    RelPrev = 10,
+    RelNext = 11,
 }
 
-/// Number of distinct `CacheOp` tags.
-pub const NUM_CACHE_OPS: usize = 10;
+/// The stats row of a computed-table tag.
+#[inline]
+fn stats_row(tag: u8) -> usize {
+    if tag == CacheOp::RelNext as u8 {
+        CacheOp::AndExists as usize
+    } else {
+        tag as usize
+    }
+}
+
+/// Number of per-operation stats rows.
+pub const NUM_CACHE_OPS: usize = 11;
 
 /// Human-readable names for the per-operation stat rows, indexed like
 /// [`BddManagerStats::per_op`].
-pub const CACHE_OP_NAMES: [&str; NUM_CACHE_OPS] =
-    ["ite", "and", "or", "xor", "not", "exists", "forall", "and_exists", "constrain", "diff"];
+pub const CACHE_OP_NAMES: [&str; NUM_CACHE_OPS] = [
+    "ite",
+    "and",
+    "or",
+    "xor",
+    "not",
+    "exists",
+    "forall",
+    "and_exists",
+    "constrain",
+    "diff",
+    "rel_prev",
+];
 
 pub(crate) type CacheKey = (CacheOp, u32, u32, u32);
 
@@ -404,7 +428,7 @@ impl ComputedCache {
         let mut total = 0u64;
         for e in &self.entries {
             if e.result != EMPTY && e.gen == self.gen {
-                per_op[e.op as usize] += 1;
+                per_op[stats_row(e.op)] += 1;
                 total += 1;
             }
         }
@@ -468,7 +492,8 @@ pub struct BddManagerStats {
 impl BddManagerStats {
     /// Per-operation computed-table counters with their names
     /// (`ite`, `and`, `or`, `xor`, `not`, `exists`, `forall`,
-    /// `and_exists`, `constrain`).
+    /// `and_exists`, which counts [`rel_next`](BddManager::rel_next)
+    /// too, `constrain`, `diff`, `rel_prev`).
     pub fn per_op(&self) -> impl Iterator<Item = (&'static str, OpCounters)> + '_ {
         CACHE_OP_NAMES.iter().copied().zip(self.op_counters.iter().copied())
     }
@@ -556,6 +581,12 @@ pub struct BddManager {
     pub(crate) level2var: Vec<u32>,
     /// Externally protected roots (id -> protection count).
     pub(crate) protected: HashMap<u32, usize>,
+    /// Variable index -> its side of the current/next pairing that
+    /// [`set_pairs`](Self::set_pairs) declared.
+    pub(crate) rails: Vec<crate::quant::Rail>,
+    /// Declared pairs whose next variable is not directly below its
+    /// current one; the fused products compose while any exist.
+    pub(crate) split_pairs: usize,
     /// Whether the computed table is consulted (ablation switch A3).
     pub(crate) cache_enabled: bool,
     pub(crate) stats: BddManagerStats,
@@ -593,6 +624,8 @@ impl BddManager {
             var2level: Vec::new(),
             level2var: Vec::new(),
             protected: HashMap::new(),
+            rails: Vec::new(),
+            split_pairs: 0,
             cache_enabled: true,
             stats: BddManagerStats::default(),
             scratch: RefCell::new(VisitScratch::default()),
@@ -688,6 +721,7 @@ impl BddManager {
         self.name_index.insert(name.to_string());
         self.var2level.push(self.level2var.len() as u32);
         self.level2var.push(var.0);
+        self.rails.push(crate::quant::Rail::Free);
         self.tables.push(UniqueTable::new());
         Ok(var)
     }
@@ -966,12 +1000,12 @@ impl BddManager {
         if !self.cache_enabled {
             return None;
         }
-        let op = &mut self.stats.op_counters[key.0 as usize];
-        op.lookups += 1;
+        let row = stats_row(key.0 as u8);
+        self.stats.op_counters[row].lookups += 1;
         self.stats.cache_lookups += 1;
         let hit = self.cache.get(&key);
         if hit.is_some() {
-            self.stats.op_counters[key.0 as usize].hits += 1;
+            self.stats.op_counters[row].hits += 1;
             self.stats.cache_hits += 1;
         }
         hit
@@ -985,7 +1019,7 @@ impl BddManager {
             return;
         }
         if self.cache_enabled && self.cache.put(&key, value) {
-            self.stats.op_counters[key.0 as usize].evictions += 1;
+            self.stats.op_counters[stats_row(key.0 as u8)].evictions += 1;
             self.stats.cache_evictions += 1;
         }
     }

@@ -37,9 +37,11 @@ impl BddManager {
 
         // Update the order first so `mk` (which debug-asserts ordering)
         // sees the new levels.
+        let split_before = self.splits_of(u, w);
         self.level2var.swap(level, level + 1);
         self.var2level[u as usize] = (level + 1) as u32;
         self.var2level[w as usize] = level as u32;
+        self.split_pairs = self.split_pairs + self.splits_of(u, w) - split_before;
 
         for id in upper_ids {
             let n = self.nodes[id as usize];

@@ -60,13 +60,15 @@ impl NodeMemo {
 impl BddManager {
     /// Renames variables according to `map` (pairs `(from, to)`).
     ///
-    /// Used by the model checker to move a state set between the current
-    /// (`v`) and next (`v'`) variable rails. The mapping must be injective
-    /// on the support of `f`; targets may appear anywhere in the order.
-    /// Each node is rebuilt with one hash-consing step when its target
-    /// variable sits above both rebuilt children, as it always does on an
-    /// interleaved `v, v'` order; at an order crossing it is spliced in
-    /// via `ite`, which is correct but slower.
+    /// Moves a function between variable rails. Images and preimages do
+    /// not call it: [`rel_next`](Self::rel_next) and
+    /// [`rel_prev`](Self::rel_prev) rename inside the product, and fall
+    /// back to this walk only while reordering splits a pair. The mapping
+    /// must be injective on the support of `f`; targets may appear
+    /// anywhere in the order. Each node is rebuilt with one hash-consing
+    /// step when its target variable sits above both rebuilt children, as
+    /// it always does on an interleaved `v, v'` order; at an order
+    /// crossing it is spliced in via `ite`, which is correct but slower.
     ///
     /// # Panics
     ///
@@ -134,23 +136,5 @@ impl BddManager {
         };
         memo.insert(f, result);
         result
-    }
-
-    /// Swaps two blocks of variables in `f` (renames each `a[i]` to `b[i]`
-    /// and each `b[i]` to `a[i]` simultaneously).
-    ///
-    /// This is the `v ↔ v'` exchange at the heart of image computation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn swap_vars(&mut self, f: Bdd, a: &[Var], b: &[Var]) -> Bdd {
-        assert_eq!(a.len(), b.len(), "swap_vars requires equal-length blocks");
-        let mut map = Vec::with_capacity(a.len() * 2);
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            map.push((x, y));
-            map.push((y, x));
-        }
-        self.rename(f, &map)
     }
 }

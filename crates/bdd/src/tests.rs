@@ -101,6 +101,11 @@ fn shuffled(vars: &[Var], seed: u64) -> Vec<Var> {
     order
 }
 
+/// The renaming that swaps each `a[i]` with `b[i]` simultaneously.
+fn swap_map(a: &[Var], b: &[Var]) -> Vec<(Var, Var)> {
+    a.iter().zip(b).flat_map(|(&x, &y)| [(x, y), (y, x)]).collect()
+}
+
 fn assignments(n: usize) -> impl Iterator<Item = Vec<bool>> {
     (0u32..(1 << n)).map(move |bits| (0..n).map(|i| bits >> i & 1 == 1).collect())
 }
@@ -302,7 +307,7 @@ fn rename_moves_functions_between_rails() {
 }
 
 #[test]
-fn swap_vars_is_an_involution() {
+fn swapping_two_rails_is_an_involution() {
     let (mut m, vars) = manager_with_vars(4);
     let (a, b) = (m.var(vars[0]), m.var(vars[1]));
     let c = m.var(vars[2]);
@@ -310,8 +315,9 @@ fn swap_vars_is_an_involution() {
     let f = m.or(ab, c);
     let cur = [vars[0], vars[1]];
     let nxt = [vars[2], vars[3]];
-    let g = m.swap_vars(f, &cur, &nxt);
-    let back = m.swap_vars(g, &cur, &nxt);
+    let swap = swap_map(&cur, &nxt);
+    let g = m.rename(f, &swap);
+    let back = m.rename(g, &swap);
     assert_eq!(back, f);
 }
 
@@ -325,9 +331,10 @@ fn rename_splices_with_ite_only_at_an_order_crossing() {
     let ab = m.xor(a, b);
     let f = m.and(ab, c);
     let lookups = m.stats().cache_lookups;
-    let g = m.swap_vars(f, &cur, &nxt);
+    let swap = swap_map(&cur, &nxt);
+    let g = m.rename(f, &swap);
     assert_eq!(m.stats().cache_lookups, lookups, "every node rebuilt with mk alone");
-    assert_eq!(m.swap_vars(g, &cur, &nxt), f);
+    assert_eq!(m.rename(g, &swap), f);
     // Reversing the block puts x2' above x0': the rebuild must use ite.
     let reversed = [(cur[0], nxt[2]), (cur[1], nxt[1]), (cur[2], nxt[0])];
     let lookups = m.stats().cache_lookups;
@@ -337,6 +344,89 @@ fn rename_splices_with_ite_only_at_an_order_crossing() {
         let expect = (env[5] ^ env[3]) && env[1];
         assert_eq!(m.eval(h, &env), expect);
     }
+}
+
+#[test]
+fn fused_products_equal_the_composition_in_every_order() {
+    const PAIRS: usize = 6;
+    let exprs = arb_expr(2 * PAIRS);
+    let mut split_cases = 0;
+    for case in 0..300u64 {
+        let mut rng = proptest::TestRng::for_case(case);
+        // Pairs declared interleaved: x0, x0', x1, x1', ...
+        let (mut m, vars) = manager_with_vars(2 * PAIRS);
+        let cur: Vec<Var> = vars.iter().copied().step_by(2).collect();
+        let nxt: Vec<Var> = vars.iter().copied().skip(1).step_by(2).collect();
+        m.set_pairs(&cur, &nxt);
+        let mut operand = |m: &mut BddManager| {
+            let a = exprs.sample(&mut rng).build(m, &vars);
+            let b = exprs.sample(&mut rng).build(m, &vars);
+            m.xor(a, b)
+        };
+        let (f, g) = (operand(&mut m), operand(&mut m));
+        // Per pair: 0 quantifies, 1 renames, 2 does both.
+        let actions: Vec<u64> = (0..PAIRS).map(|_| rng.below(3)).collect();
+        // The declared order, whole pairs shuffled, or any order at all.
+        match case % 3 {
+            0 => {}
+            1 => {
+                let blocks = shuffled(&cur, rng.next_u64());
+                let order: Vec<Var> = blocks.iter().flat_map(|&x| [x, Var(x.0 + 1)]).collect();
+                m.reorder(&order).expect("permutation");
+            }
+            _ => m.reorder(&shuffled(&vars, rng.next_u64())).expect("permutation"),
+        }
+        let split = (0..PAIRS).any(|i| m.level_of_var(nxt[i]) != m.level_of_var(cur[i]) + 1);
+        split_cases += usize::from(split);
+
+        // rel_next: x quantified, x' renamed to x. A renamed x that is
+        // not quantified must not occur in the operands.
+        let (mut members, mut quantified, mut renaming) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut f1, mut g1) = (f, g);
+        for i in 0..PAIRS {
+            if actions[i] != 1 {
+                members.push(cur[i]);
+                quantified.push(cur[i]);
+            } else {
+                let x = m.cube(&[cur[i]]);
+                f1 = m.exists(f1, x);
+                g1 = m.exists(g1, x);
+            }
+            if actions[i] != 0 {
+                members.push(nxt[i]);
+                renaming.push((nxt[i], cur[i]));
+            }
+        }
+        let pairs = m.cube(&members);
+        let fused = m.rel_next(f1, g1, pairs);
+        let q = m.cube(&quantified);
+        let product = m.and_exists(f1, g1, q);
+        assert_eq!(fused, m.rename(product, &renaming), "rel_next, case {case}, split {split}");
+
+        // rel_prev: x read as x', x' quantified. The set must not
+        // mention a renamed x'.
+        let (mut members, mut quantified, mut renaming) = (Vec::new(), Vec::new(), Vec::new());
+        let mut f2 = f;
+        for i in 0..PAIRS {
+            if actions[i] != 1 {
+                members.push(nxt[i]);
+                quantified.push(nxt[i]);
+            }
+            if actions[i] != 0 {
+                members.push(cur[i]);
+                renaming.push((cur[i], nxt[i]));
+                let x2 = m.cube(&[nxt[i]]);
+                f2 = m.exists(f2, x2);
+            }
+        }
+        let pairs = m.cube(&members);
+        let fused = m.rel_prev(f2, g, pairs);
+        let moved = m.rename(f2, &renaming);
+        let q = m.cube(&quantified);
+        assert_eq!(fused, m.and_exists(moved, g, q), "rel_prev, case {case}, split {split}");
+        m.validate().expect("the split-pair count follows every swap");
+    }
+    assert!(split_cases >= 50, "only {split_cases} cases split a pair");
 }
 
 #[test]
@@ -886,7 +976,7 @@ proptest! {
     }
 
     #[test]
-    fn prop_swap_vars_under_any_order_matches_the_oracle(
+    fn prop_rail_swap_under_any_order_matches_the_oracle(
         expr in arb_expr(6),
         seed in any::<u64>(),
     ) {
@@ -894,7 +984,7 @@ proptest! {
         let (mut m, vars) = manager_with_vars(6);
         let f = expr.build(&mut m, &vars);
         m.reorder(&shuffled(&vars, seed)).expect("permutation");
-        let g = m.swap_vars(f, &vars[0..3], &vars[3..6]);
+        let g = m.rename(f, &swap_map(&vars[0..3], &vars[3..6]));
         for env in assignments(6) {
             let read: Vec<bool> = (0..6).map(|i| env[(i + 3) % 6]).collect();
             prop_assert_eq!(m.eval(g, &env), expr.eval(&read));

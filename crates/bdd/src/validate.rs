@@ -18,7 +18,8 @@ impl BddManager {
     ///
     /// Invariants checked:
     ///
-    /// - `var2level` / `level2var` are mutually inverse permutations.
+    /// - `var2level` / `level2var` are mutually inverse permutations,
+    ///   and the count of split current/next pairs is up to date.
     /// - Slots 0 and 1 hold the terminals.
     /// - Free-list slots are in range, unique, and scrubbed (no stale
     ///   node data a future `mk` could alias).
@@ -48,6 +49,13 @@ impl BddManager {
             if lvl as usize >= nv || self.level2var[lvl as usize] as usize != v {
                 return Err(format!("variable order not a bijection: var {v} claims level {lvl}"));
             }
+        }
+        let split = (0..nv as u32).filter(|&v| self.pair_split(v)).count();
+        if split != 2 * self.split_pairs {
+            return Err(format!(
+                "{} split pairs counted, {split} split pair members",
+                self.split_pairs
+            ));
         }
         for t in [0usize, 1] {
             if self.nodes.len() <= t || self.nodes[t].var != TERMINAL_VAR {

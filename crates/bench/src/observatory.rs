@@ -31,7 +31,7 @@ const COUNTER8_SMV: &str = include_str!("../../../models/counter8.smv");
 /// models, the paper's Seitz arbiter (counterexample-bearing liveness
 /// spec), the same circuit exported with `Netlist::to_smv` and compiled
 /// by the SMV front end (its free scheduler input `sel` puts the
-/// two-part transition relation on the preimage path), a 9-stage
+/// input split of the transition relation on the preimage path), a 9-stage
 /// inverter ring (witness-bearing reset spec), and the parallel
 /// engine's batch throughput workload.
 pub const ALL_FAMILIES: &[&str] = &["mutex", "arbiter2", "seitz", "seitz_smv", "ring9", "batch"];

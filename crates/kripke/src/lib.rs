@@ -9,7 +9,11 @@
 //! - [`SymbolicModel`]: states are assignments to boolean state variables;
 //!   the transition relation `N(v̄, v̄′)`, the initial set and all labels are
 //!   BDDs over an interleaved current/next variable order. This is the
-//!   representation the symbolic checker operates on.
+//!   representation the symbolic checker operates on. Its images and
+//!   preimages switch between the rails inside the kernel's relational
+//!   products ([`smc_bdd::BddManager::rel_next`],
+//!   [`smc_bdd::BddManager::rel_prev`]); no set is renamed onto the other
+//!   rail first.
 //! - [`ExplicitModel`]: an adjacency-list graph with per-state label sets.
 //!   Used by the explicit-state baseline checker, by the SCC analyses that
 //!   explain witness shapes (Figures 1–2 of the paper), and as a

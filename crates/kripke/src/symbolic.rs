@@ -12,9 +12,13 @@ use crate::state::State;
 ///
 /// State variables come in current/next pairs interleaved in the BDD
 /// order (`v₀, v₀′, v₁, v₁′, …`), the layout that keeps transition
-/// relations of sequential circuits small. The structure owns its
-/// [`BddManager`]; all further BDD work (the model checker's fixpoints,
-/// witness extraction) goes through [`manager_mut`](Self::manager_mut).
+/// relations of sequential circuits small. The manager is told the
+/// pairing, so every image and preimage switches rails inside one
+/// relational product ([`BddManager::rel_next`],
+/// [`BddManager::rel_prev`]) instead of renaming a set first. The
+/// structure owns its [`BddManager`]; all further BDD work (the model
+/// checker's fixpoints, witness extraction) goes through
+/// [`manager_mut`](Self::manager_mut).
 ///
 /// Construct models with [`SymbolicModelBuilder`](crate::SymbolicModelBuilder),
 /// the `smc-smv` language frontend, or the gate-level netlists of
@@ -25,7 +29,9 @@ pub struct SymbolicModel {
     names: Vec<String>,
     cur: Vec<Var>,
     nxt: Vec<Var>,
-    nxt_cube: Bdd,
+    /// The cube of every current and next variable: the pairs argument
+    /// of a product over the whole relation.
+    pairs: Bdd,
     init: Bdd,
     trans: Bdd,
     fairness: Vec<Bdd>,
@@ -55,12 +61,12 @@ enum Events {
     Guards(Vec<Bdd>),
     /// The guards' analysed parts.
     Parts {
-        /// The forward parts, in guard order.
+        /// The forward parts, in guard order. Backward sweeps read them
+        /// too.
         parts: Vec<EventPart>,
-        /// The backward parts, once a backward sweep asked for them:
-        /// each forward part's relation with the next-rail cube and the
-        /// `cur → nxt` renaming of its bits, then the remainder part.
-        back: Option<Vec<EventPart>>,
+        /// What backward sweeps add, once the first one asked for it:
+        /// the remainder part, or `None` if the remainder changes no bit.
+        remainder: Option<Option<EventPart>>,
     },
 }
 
@@ -70,50 +76,62 @@ struct EventPart {
     /// `∃(next bits outside W). trans ∧ guard`: mentions no next-state
     /// bit outside `W`.
     rel: Bdd,
-    /// The bits of `W` the step quantifies: the current-state bits for
-    /// an image, the next-state bits for a preimage.
-    cube: Bdd,
-    /// The renaming of `W` between the rails: `(x_i′, x_i)` moves an
-    /// image back onto the current rail, `(x_i, x_i′)` moves a set onto
-    /// the next rail before a preimage.
-    rename: Vec<(Var, Var)>,
+    /// The current and next variables of `W`. An image quantifies the
+    /// current ones and renames the next ones back
+    /// ([`BddManager::rel_next`]); a preimage reads the set's `W` on the
+    /// next rail and quantifies it ([`BddManager::rel_prev`]).
+    pairs: Bdd,
 }
 
 impl Events {
     /// Every BDD the split holds: the guards until they are analysed,
-    /// then each part's relation and cube. All of them stay protected
+    /// then each part's relation and pairs. All of them stay protected
     /// while installed.
     fn roots(&self) -> Vec<Bdd> {
         match self {
             Events::None => Vec::new(),
             Events::Guards(guards) => guards.clone(),
-            Events::Parts { parts, back } => {
-                parts.iter().chain(back.iter().flatten()).flat_map(|p| [p.rel, p.cube]).collect()
-            }
+            Events::Parts { parts, remainder } => parts
+                .iter()
+                .chain(remainder.iter().flatten())
+                .flat_map(|p| [p.rel, p.pairs])
+                .collect(),
         }
     }
 }
 
-/// A conjunctive transition-relation partition `N = ⋀ parts`, with the
-/// precomputed early-quantification schedules.
+/// A conjunctive transition-relation partition `N = D_I′ ∧ ⋀ parts`,
+/// with the precomputed early-quantification schedules.
 #[derive(Debug, Clone)]
 struct Partition {
     parts: Vec<Bdd>,
     /// `img_cubes[i]`: current-state variables quantified right after
     /// conjoining `parts[i]` during image computation (they occur in no
-    /// later part).
+    /// later part). The last one also holds every next-state variable,
+    /// which its product renames back onto the current rail.
     img_cubes: Vec<Bdd>,
     /// `pre_cubes[i]`: next-state variables quantified right after
-    /// conjoining `parts[i]` during preimage computation.
+    /// conjoining `parts[i]` during preimage computation. The first one
+    /// also holds every current-state variable: its product reads the
+    /// set on the next rail.
     pre_cubes: Vec<Bdd>,
+    /// The free inputs' validity `D_I` on the current rail, when
+    /// [`set_input_split`](SymbolicModel::set_input_split) installed it.
+    valid: Option<Bdd>,
+    /// The current variables of the bits whose next variable no part
+    /// mentions (the free inputs): a preimage quantifies them out of the
+    /// set, with `D_I`, before the products.
+    inputs: Bdd,
 }
 
 impl Partition {
-    /// Every BDD the partition holds: the parts and both schedules'
-    /// cubes. All of them stay protected while the partition is
-    /// installed, so a collection cannot reclaim a cube under a handle.
+    /// Every BDD the partition holds: the parts, both schedules' cubes,
+    /// `D_I` and the inputs' cube. All of them stay protected while the
+    /// partition is installed, so a collection cannot reclaim a cube
+    /// under a handle.
     fn roots(&self) -> impl Iterator<Item = Bdd> + '_ {
-        self.parts.iter().chain(&self.img_cubes).chain(&self.pre_cubes).copied()
+        let parts = self.parts.iter().chain(&self.img_cubes).chain(&self.pre_cubes);
+        parts.chain(&self.valid).chain([&self.inputs]).copied()
     }
 }
 
@@ -156,18 +174,22 @@ impl SymbolicModel {
             }
         }
         let name_index = names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
-        let cur_cube = manager.cube(&cur);
-        let nxt_cube = manager.cube(&nxt);
+        manager.set_pairs(&cur, &nxt);
+        let pairs = manager.cube(&[cur.as_slice(), &nxt].concat());
         // Keep the long-lived structure BDDs safe across user GCs. The
-        // model starts on the one-part partition `[trans]`, which
-        // quantifies every current (next) bit at its only part; like any
-        // partition it protects its roots itself, so replacing it leaves
-        // these protected.
-        for b in [init, trans, cur_cube, nxt_cube] {
+        // model starts on the one-part partition `[trans]`, whose
+        // products switch every pair; like any partition it protects its
+        // roots itself, so replacing it leaves these protected.
+        for b in [init, trans, pairs] {
             manager.protect(b);
         }
-        let partition =
-            Partition { parts: vec![trans], img_cubes: vec![cur_cube], pre_cubes: vec![nxt_cube] };
+        let partition = Partition {
+            parts: vec![trans],
+            img_cubes: vec![pairs],
+            pre_cubes: vec![pairs],
+            valid: None,
+            inputs: Bdd::TRUE,
+        };
         for b in partition.roots() {
             manager.protect(b);
         }
@@ -182,7 +204,7 @@ impl SymbolicModel {
             names,
             cur,
             nxt,
-            nxt_cube,
+            pairs,
             init,
             trans,
             fairness,
@@ -200,7 +222,9 @@ impl SymbolicModel {
     /// early-quantification schedules. [`image`](Self::image) and
     /// [`preimage`](Self::preimage) conjoin the parts one at a time: after
     /// each part, every variable that occurs in no later part is
-    /// quantified immediately, keeping intermediate BDDs small.
+    /// quantified immediately, keeping intermediate BDDs small. A
+    /// preimage quantifies the bits whose next variable no part mentions
+    /// out of the set before the first product.
     ///
     /// Pass an empty vector to revert to the monolithic relation, the
     /// one-part partition `[trans]` every model starts with. The parts
@@ -212,41 +236,81 @@ impl SymbolicModel {
     /// In debug builds, panics if the conjunction of the parts differs
     /// from the stored transition relation.
     pub fn set_partition(&mut self, parts: Vec<Bdd>) {
+        let parts = if parts.is_empty() { vec![self.trans] } else { parts };
+        self.install_partition(parts, None);
+    }
+
+    /// Installs the split `N = D_I′ ∧ R` of a model with free inputs.
+    /// `valid` is the inputs' validity `D_I` on the current rail (`TRUE`
+    /// when every encoding is valid) and `rest` is `R`, which must
+    /// mention no input's next-state bit: the input bits are exactly the
+    /// bits whose next variable `R` never mentions.
+    ///
+    /// An image then conjoins `D_I` after the product with `R`, and a
+    /// preimage computes `∃v′. R ∧ (∃inputs. S ∧ D_I)[v := v′]`: the input
+    /// bits leave the set on the current rail before the product with
+    /// `R`, instead of the product being repeated once per input
+    /// cofactor. [`is_partitioned`](Self::is_partitioned) holds from
+    /// then on; `set_partition(vec![])` goes back to `[trans]`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if `D_I′ ∧ R` differs from the stored
+    /// transition relation.
+    pub fn set_input_split(&mut self, valid: Bdd, rest: Bdd) {
+        self.install_partition(vec![rest], Some(valid));
+    }
+
+    /// Installs `N = D_I′ ∧ ⋀ parts` (no `D_I` when `valid` is `None`)
+    /// with its schedules, releasing the partition it replaces.
+    fn install_partition(&mut self, parts: Vec<Bdd>, valid: Option<Bdd>) {
         for b in self.partition.roots() {
             self.manager.unprotect(b);
         }
-        let parts = if parts.is_empty() { vec![self.trans] } else { parts };
+        let m = &mut self.manager;
         debug_assert_eq!(
-            self.manager.and_all(parts.iter().copied()),
+            {
+                let cur = m.cube(&self.cur);
+                let primed = m.rel_prev(valid.unwrap_or(Bdd::TRUE), Bdd::TRUE, cur);
+                m.and_all(parts.iter().copied().chain([primed]))
+            },
             self.trans,
             "partition must conjoin to the transition relation"
         );
         // For each part, which current/next variables appear in it.
-        let supports: Vec<Vec<Var>> = parts.iter().map(|&p| self.manager.support(p)).collect();
-        // A variable is quantified at the *last* part mentioning it (or
-        // immediately at part 0 if it occurs nowhere).
+        let supports: Vec<Vec<Var>> = parts.iter().map(|&p| m.support(p)).collect();
+        let last_mention = |v: &Var| (0..parts.len()).rev().find(|&i| supports[i].contains(v));
+        // A variable is quantified at the *last* part mentioning it. A
+        // current variable that occurs nowhere goes at part 0; a next
+        // variable that occurs nowhere is an input bit, quantified out
+        // of the set before the products.
+        let last = parts.len() - 1;
         let mut img_sched: Vec<Vec<Var>> = vec![Vec::new(); parts.len()];
         let mut pre_sched: Vec<Vec<Var>> = vec![Vec::new(); parts.len()];
-        for &v in &self.cur {
-            let last = (0..parts.len()).rev().find(|&i| supports[i].contains(&v)).unwrap_or(0);
-            img_sched[last].push(v);
+        let mut inputs = Vec::new();
+        for (&x, &x2) in self.cur.iter().zip(&self.nxt) {
+            img_sched[last_mention(&x).unwrap_or(0)].push(x);
+            match last_mention(&x2) {
+                Some(i) => pre_sched[i].push(x2),
+                None => inputs.push(x),
+            }
         }
-        for &v in &self.nxt {
-            let last = (0..parts.len()).rev().find(|&i| supports[i].contains(&v)).unwrap_or(0);
-            pre_sched[last].push(v);
-        }
-        let img_cubes = img_sched.into_iter().map(|vars| self.manager.cube(&vars)).collect();
-        let pre_cubes = pre_sched.into_iter().map(|vars| self.manager.cube(&vars)).collect();
-        let partition = Partition { parts, img_cubes, pre_cubes };
+        img_sched[last].extend(&self.nxt);
+        pre_sched[0].extend(&self.cur);
+        let img_cubes = img_sched.iter().map(|vars| m.cube(vars)).collect();
+        let pre_cubes = pre_sched.iter().map(|vars| m.cube(vars)).collect();
+        let inputs = m.cube(&inputs);
+        let partition = Partition { parts, img_cubes, pre_cubes, valid, inputs };
         for b in partition.roots() {
-            self.manager.protect(b);
+            m.protect(b);
         }
         self.partition = partition;
     }
 
-    /// Is a partition of more than one part installed?
+    /// Is a partition other than the monolithic `[trans]` installed: more
+    /// than one part, or the free-input split?
     pub fn is_partitioned(&self) -> bool {
-        self.partition.parts.len() > 1
+        self.partition.parts.len() > 1 || self.partition.valid.is_some()
     }
 
     /// Installs event guards for chained reachability: each guard `g`
@@ -415,16 +479,23 @@ impl SymbolicModel {
     /// `Img(S)(v̄) = (∃v̄. S(v̄) ∧ N(v̄, v̄′))[v̄′ := v̄]`.
     ///
     /// Conjoins the [partition](Self::set_partition)'s parts one at a
-    /// time with early quantification of current-state variables.
+    /// time with early quantification of current-state variables; the
+    /// last product renames the next-state variables back onto the
+    /// current rail, and `D_I` is conjoined after it.
     pub fn image(&mut self, set: Bdd) -> Bdd {
         // Split-borrow so the partition is read in place (no clone on the
         // hot path) while the manager runs the products.
-        let SymbolicModel { manager, partition, .. } = self;
+        let SymbolicModel { manager, partition: p, .. } = self;
+        let last = p.parts.len() - 1;
         let mut acc = set;
-        for (&part, &cube) in partition.parts.iter().zip(&partition.img_cubes) {
+        for (&part, &cube) in p.parts[..last].iter().zip(&p.img_cubes) {
             acc = manager.and_exists(acc, part, cube);
         }
-        self.manager.swap_vars(acc, &self.cur, &self.nxt)
+        let img = manager.rel_next(acc, p.parts[last], p.img_cubes[last]);
+        match p.valid {
+            Some(valid) => manager.and(img, valid),
+            None => img,
+        }
     }
 
     /// Backward image: the set of predecessors of `set`,
@@ -432,15 +503,10 @@ impl SymbolicModel {
     ///
     /// This is exactly the paper's `CheckEX`. Conjoins the
     /// [partition](Self::set_partition)'s parts one at a time with early
-    /// quantification of next-state variables.
+    /// quantification of next-state variables; the first product reads
+    /// `set` on the next rail.
     pub fn preimage(&mut self, set: Bdd) -> Bdd {
-        let primed = self.manager.swap_vars(set, &self.cur, &self.nxt);
-        let SymbolicModel { manager, partition, .. } = self;
-        let mut acc = primed;
-        for (&part, &cube) in partition.parts.iter().zip(&partition.pre_cubes) {
-            acc = manager.and_exists(acc, part, cube);
-        }
-        acc
+        self.pre_product(set, Bdd::TRUE)
     }
 
     /// Restricted backward image: `within ∧ Pre(set)`, computed with the
@@ -459,19 +525,35 @@ impl SymbolicModel {
         if within.is_true() {
             return self.preimage(set);
         }
-        let primed = self.manager.swap_vars(set, &self.cur, &self.nxt);
-        let SymbolicModel { manager, partition, .. } = self;
+        let pre = self.pre_product(set, within);
+        self.manager.and(within, pre)
+    }
+
+    /// The loop of [`preimage`](Self::preimage) and
+    /// [`preimage_within`](Self::preimage_within): the input bits leave
+    /// `set ∧ D_I` on the current rail, then each part in turn, each
+    /// constrained by `within` unless that is `TRUE`.
+    fn pre_product(&mut self, set: Bdd, within: Bdd) -> Bdd {
+        let SymbolicModel { manager, partition: p, .. } = self;
+        let mut acc = if p.inputs.is_true() {
+            set
+        } else {
+            manager.and_exists(set, p.valid.unwrap_or(Bdd::TRUE), p.inputs)
+        };
         // Constraining each part by `within` (current vars only) is
         // sound: the constrained parts agree with the originals on
         // `within`, no next-state variable enters any part's support, so
         // the early-quantification schedule stays valid, and the final
         // conjunction with `within` restores exactness.
-        let mut acc = primed;
-        for (&part, &cube) in partition.parts.iter().zip(&partition.pre_cubes) {
-            let cpart = manager.constrain(part, within);
-            acc = manager.and_exists(acc, cpart, cube);
+        for (i, (&part, &cube)) in p.parts.iter().zip(&p.pre_cubes).enumerate() {
+            let part = if within.is_true() { part } else { manager.constrain(part, within) };
+            acc = if i == 0 {
+                manager.rel_prev(acc, part, cube)
+            } else {
+                manager.and_exists(acc, part, cube)
+            };
         }
-        self.manager.and(within, acc)
+        acc
     }
 
     /// The reachable state set (least fixpoint of `λZ. S₀ ∨ Img(Z)`),
@@ -515,7 +597,7 @@ impl SymbolicModel {
     /// event is `E = trans ∧ g` and `W` the bits it can change
     /// (`E ∧ (x_i ⊕ x_i′) ≠ ∅`). An event with empty `W` only stutters
     /// and is dropped; otherwise its part keeps
-    /// `∃(next bits outside W). E` with the cube and renaming of `W`.
+    /// `∃(next bits outside W). E` with the pairs of `W`.
     fn analyse_events(&mut self) -> Result<(), KripkeError> {
         let Events::Guards(guards) = &self.events else {
             return Ok(());
@@ -525,20 +607,14 @@ impl SymbolicModel {
         let mut parts = Vec::with_capacity(guards.len());
         for &guard in &guards {
             let event = self.manager.and(self.trans, guard);
-            let Some((rel, changed)) = self.localise(event, &flips) else {
-                continue;
-            };
-            let cube: Vec<Var> = changed.iter().map(|&i| self.cur[i]).collect();
-            let cube = self.manager.cube(&cube);
-            let rename = changed.iter().map(|&i| (self.nxt[i], self.cur[i])).collect();
-            parts.push(EventPart { rel, cube, rename });
+            parts.extend(self.localise(event, &flips));
         }
         // A safe point before protecting: once committed, a later trip
         // cannot roll the parts back under their handles. On a trip the
         // guards stay installed and a retry analyses them again.
         self.manager.check_budget().map_err(|e| self.exhausted(e, 0))?;
         self.set_events(Vec::new());
-        self.events = Events::Parts { parts, back: None };
+        self.events = Events::Parts { parts, remainder: None };
         for b in self.events.roots() {
             self.manager.protect(b);
         }
@@ -557,9 +633,10 @@ impl SymbolicModel {
             .collect()
     }
 
-    /// The event-local relation of `event` and the bits `W` it can
-    /// change, in order; `None` when it changes none.
-    fn localise(&mut self, event: Bdd, flips: &[Bdd]) -> Option<(Bdd, Vec<usize>)> {
+    /// The event-local part of `event`: its relation with the next
+    /// bits it cannot change quantified away, and the pairs of the bits
+    /// `W` it can change; `None` when it changes none.
+    fn localise(&mut self, event: Bdd, flips: &[Bdd]) -> Option<EventPart> {
         let m = &mut self.manager;
         let (changed, kept): (Vec<usize>, Vec<usize>) =
             (0..self.cur.len()).partition(|&i| m.intersects(event, flips[i]));
@@ -568,54 +645,42 @@ impl SymbolicModel {
         }
         let frame: Vec<Var> = kept.iter().map(|&i| self.nxt[i]).collect();
         let frame = m.cube(&frame);
-        Some((m.exists(event, frame), changed))
+        let rel = m.exists(event, frame);
+        let pairs: Vec<Var> = changed.iter().flat_map(|&i| [self.cur[i], self.nxt[i]]).collect();
+        Some(EventPart { rel, pairs: m.cube(&pairs) })
     }
 
-    /// Builds the backward parts at the first backward sweep: every
-    /// forward part with the next-rail cube and the `cur → nxt` renaming
-    /// of its bits, then the remainder event analysed the same way
-    /// (dropped if it changes no bit). Together they cover every
-    /// transition but stutters, which never add a state to a least
-    /// fixpoint.
+    /// Builds the remainder part at the first backward sweep: the
+    /// remainder event analysed like a guard (dropped if it changes no
+    /// bit). With it, the parts cover every transition but stutters,
+    /// which never add a state to a least fixpoint.
     ///
     /// The remainder is `trans` outside the parts' domains `∃W′. rel`,
     /// each `g ∧ ∃x′. trans`: that is `trans ∧ ¬(g₁ ∨ … ∨ gₙ)` plus the
     /// stutters of dropped events, which add no state. So the guards
     /// need not be kept once analysed.
     fn analyse_backward(&mut self) -> Result<(), BddError> {
-        let Events::Parts { parts, back: None } = &self.events else {
+        let Events::Parts { parts, remainder: None } = &self.events else {
             return Ok(());
         };
         let m = &mut self.manager;
         let mut covered = Bdd::FALSE;
-        let mut back: Vec<EventPart> = parts
-            .iter()
-            .map(|p| {
-                let nxt: Vec<Var> = p.rename.iter().map(|&(x2, _)| x2).collect();
-                let cube = m.cube(&nxt);
-                let domain = m.exists(p.rel, cube);
-                covered = m.or(covered, domain);
-                let rename = p.rename.iter().map(|&(x2, x)| (x, x2)).collect();
-                EventPart { rel: p.rel, cube, rename }
-            })
-            .collect();
+        for p in parts {
+            let domain = m.rel_prev(Bdd::TRUE, p.rel, p.pairs);
+            covered = m.or(covered, domain);
+        }
         let uncovered = m.not(covered);
         let remainder = m.and(self.trans, uncovered);
         let flips = self.flips();
-        if let Some((rel, changed)) = self.localise(remainder, &flips) {
-            let nxt: Vec<Var> = changed.iter().map(|&i| self.nxt[i]).collect();
-            let cube = self.manager.cube(&nxt);
-            let rename = changed.iter().map(|&i| (self.cur[i], self.nxt[i])).collect();
-            back.push(EventPart { rel, cube, rename });
-        }
-        // Committed before they are kept, as in `analyse_events`.
+        let part = self.localise(remainder, &flips);
+        // Committed before it is kept, as in `analyse_events`.
         self.manager.check_budget()?;
-        for p in &back {
+        if let Some(p) = &part {
             self.manager.protect(p.rel);
-            self.manager.protect(p.cube);
+            self.manager.protect(p.pairs);
         }
-        if let Events::Parts { back: slot, .. } = &mut self.events {
-            *slot = Some(back);
+        if let Events::Parts { remainder: slot, .. } = &mut self.events {
+            *slot = Some(part);
         }
         Ok(())
     }
@@ -673,8 +738,7 @@ impl SymbolicModel {
             unreachable!("sweeps run over analysed events");
         };
         let mut step = |part: &EventPart| {
-            let moved = manager.and_exists(reach, part.rel, part.cube);
-            let img = manager.rename(moved, &part.rename);
+            let img = manager.rel_next(reach, part.rel, part.pairs);
             reach = manager.or(reach, img);
         };
         if reversed {
@@ -694,33 +758,35 @@ impl SymbolicModel {
     /// same fixpoint as breadth-first preimages, in fewer and cheaper
     /// steps.
     ///
-    /// The first call builds the backward parts: the
-    /// [remainder event](Self::set_events) and the next-rail cubes.
+    /// The sweep reads the forward parts; the first call builds the
+    /// [remainder event](Self::set_events)'s part, which it adds.
     ///
     /// # Errors
     ///
-    /// A budget trip while the backward parts are built; nothing is kept,
-    /// so a retry builds them again.
+    /// A budget trip while the remainder part is built; nothing is kept,
+    /// so a retry builds it again.
     ///
     /// # Panics
     ///
     /// Panics unless [`has_event_parts`](Self::has_event_parts).
     pub fn sweep_back(&mut self, f: Bdd, mut z: Bdd, reversed: bool) -> Result<Bdd, BddError> {
         self.analyse_backward()?;
-        let SymbolicModel { manager, events: Events::Parts { back: Some(back), .. }, .. } = self
+        let SymbolicModel {
+            manager, events: Events::Parts { parts, remainder: Some(rest) }, ..
+        } = self
         else {
             panic!("backward sweeps run over analysed events");
         };
         let mut step = |part: &EventPart| {
-            let primed = manager.rename(z, &part.rename);
-            let pre = manager.and_exists(primed, part.rel, part.cube);
+            let pre = manager.rel_prev(z, part.rel, part.pairs);
             let add = manager.and(f, pre);
             z = manager.or(z, add);
         };
+        let back = parts.iter().chain(rest.iter());
         if reversed {
-            back.iter().rev().for_each(&mut step);
+            back.rev().for_each(&mut step);
         } else {
-            back.iter().for_each(&mut step);
+            back.for_each(&mut step);
         }
         Ok(z)
     }
@@ -846,7 +912,7 @@ impl SymbolicModel {
     /// the reachability fixpoint or the successor check.
     pub fn deadlocked(&mut self) -> Result<Bdd, KripkeError> {
         let reach = self.reachable()?;
-        let has_succ = self.manager.exists(self.trans, self.nxt_cube);
+        let has_succ = self.manager.rel_prev(Bdd::TRUE, self.trans, self.pairs);
         let dead = self.manager.diff(reach, has_succ);
         self.manager.check_budget().map_err(|e| self.exhausted(e, 0))?;
         Ok(dead)

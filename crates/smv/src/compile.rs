@@ -333,16 +333,18 @@ fn compile_module_full(
     };
 
     // ---- Domain-validity constraints. ----
-    // The free inputs' next-state validity is kept apart as `D_I`, the
-    // first part of the transition relation (see below).
+    // The free inputs' validity `D_I` is kept apart, on both rails (see
+    // below).
     let mut valid_cur = Bdd::TRUE;
     let mut valid_nxt = Bdd::TRUE;
+    let mut inputs_cur = Bdd::TRUE;
     let mut inputs_nxt = Bdd::TRUE;
     for (i, &input) in inputs.iter().enumerate() {
         let vc = ctx.valid_encoding(i, Rail::Cur);
         let vn = ctx.valid_encoding(i, Rail::Nxt);
         valid_cur = ctx.manager.and(valid_cur, vc);
         if input {
+            inputs_cur = ctx.manager.and(inputs_cur, vc);
             inputs_nxt = ctx.manager.and(inputs_nxt, vn);
         } else {
             valid_nxt = ctx.manager.and(valid_nxt, vn);
@@ -425,17 +427,19 @@ fn compile_module_full(
     // their own name as a state bit).
     let Ctx { mut manager, cur, nxt, .. } = ctx;
     // With free inputs, `trans` so far is `R`, everything but the
-    // inputs' next-state validity `D_I`. Installing the exact split
-    // `N = D_I ∧ R` lets a preimage quantify the input bits against
-    // `D_I` alone before the product with `R`.
-    let mut parts = Vec::new();
-    if inputs.contains(&true) {
-        parts = vec![inputs_nxt, trans];
+    // inputs' next-state validity `D_I′`. Installing the exact split
+    // `N = D_I′ ∧ R` lets a preimage quantify the input bits against
+    // `D_I` alone, on the current rail, before the product with `R`.
+    let rest = trans;
+    let split = inputs.contains(&true);
+    if split {
         trans = manager.and(inputs_nxt, trans);
     }
     let mut model =
         SymbolicModel::assemble(manager, names, cur, nxt, init, trans, fairness, labels)?;
-    model.set_partition(parts);
+    if split {
+        model.set_input_split(inputs_cur, rest);
+    }
     model.set_events(guards);
     let mut compiled =
         CompiledModel { model, specs: compiled_specs, fairness_spans, branches, vars };

@@ -5,7 +5,7 @@
 #      kernel (transactional rollback, one-shot triggers, cache wipes),
 #      fault recovery across every public Checker entry point, and the
 #      budgeted CLI paths.
-#   2. A deadline-bounded run of a large (6-user) arbiter through the
+#   2. A deadline-bounded run of a large (7-user) arbiter through the
 #      CLI: a tight wall-clock/node budget must stop the run cleanly
 #      with exit code 3 and partial diagnostics — never a hang, panic,
 #      or corrupted state — while the unbudgeted paper-sized control run
@@ -38,9 +38,12 @@ cargo build -q --release --bin smc --example export_smv
 TMP="$(mktemp "${TMPDIR:-/tmp}/smc_stress_arbiter.XXXXXX")"
 trap 'rm -f "$TMP"' EXIT
 # The 5-user arbiter finishes inside this budget (in about 4.5 s) since
-# its reachability and its verdict-only EUs are chained, so the bounded
-# run takes the 6-user one.
-./target/release/examples/export_smv 6 > "$TMP"
+# its reachability and its verdict-only EUs are chained. Since images
+# and preimages switch rails inside one product, the 6-user one decides
+# every spec under the node limit in about 4.7 s (8.3 s before), right
+# at the deadline, so the bounded run takes the 7-user one: it trips in
+# reachability on the deadline or the node limit.
+./target/release/examples/export_smv 7 > "$TMP"
 
 # A few seconds of wall clock and a 200k-node cap on a model this size:
 # expect exit 3 (budget exhausted, diagnostics on stderr). Exit 1 is

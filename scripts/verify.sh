@@ -142,9 +142,10 @@ grep -q '^reachable states: 11010048$' <<<"$out" \
 echo "== chained-EU drill (verdict-only EUs on the exported arbiter(3)) =="
 # Without --trace, formula-level EUs chain backwards over the same
 # events and record no rings. The verdicts and exit code equal the
-# traced run's; --stats counts about 231,000 created nodes, where
-# breadth-first EUs created 356,448 before fair EG went Gauss-Seidel, so
-# a silent fallback to them fails the 300,000 bound.
+# traced run's; --stats counts about 157,000 created nodes (231,127
+# while every product renamed its set first), where breadth-first EUs
+# created 356,448 before fair EG went Gauss-Seidel, so a silent
+# fallback to them fails the 300,000 bound.
 out=$(./target/release/smc check --stats "$arb") && rc=0 || rc=$?
 traced=$(./target/release/smc check --trace "$arb") && trc=0 || trc=$?
 [ "$rc" -eq "$trc" ] || { echo "chained-EU drill: exit $rc, with --trace $trc"; exit 1; }
@@ -167,14 +168,36 @@ rounds=$(awk '$1 == "fair_eg" { print $7 }' <<<"$out")
 [ -n "$rounds" ] && [ "$rounds" -le 7 ] \
     || { echo "fair-EG drill: $rounds fair_eg rounds, expected at most 7"; exit 1; }
 # With the closing arcs' EUs stopped at the ring they need, the traced
-# check of the exported arbiter(2) creates about 222,000 nodes; Jacobi
-# rounds created 278,315, Gauss-Seidel rounds alone 267,172.
+# check of the exported arbiter(2) creates about 179,000 nodes (222,256
+# while every product renamed its set first); Jacobi rounds created
+# 278,315, Gauss-Seidel rounds alone 267,172.
 ./target/release/examples/export_smv 2 > "$arb"
 out=$(./target/release/smc check --trace --stats "$arb") && rc=0 || rc=$?
 [ "$rc" -eq 1 ] || { echo "fair-EG drill: arbiter(2) --trace should exit 1, got $rc"; exit 1; }
 created=$(sed -n 's/^nodes .* \([0-9]*\) created$/\1/p' <<<"$out")
 [ -n "$created" ] && [ "$created" -le 240000 ] \
     || { echo "fair-EG drill: $created created nodes, expected at most 240000"; exit 1; }
+
+echo "== fused-product drill (images and preimages switch rails inside one product) =="
+# rel_next and rel_prev rename inside the memoized product, so no set is
+# copied onto the other rail first: the exported arbiter(3)'s check
+# creates about 157,000 nodes where renaming first created 231,127. A
+# rename-then-product path left on the declared order fails the bound.
+./target/release/examples/export_smv 3 > "$arb"
+out=$(./target/release/smc check --stats "$arb") && rc=0 || rc=$?
+created=$(sed -n 's/^nodes .* \([0-9]*\) created$/\1/p' <<<"$out")
+[ -n "$created" ] && [ "$created" -le 180000 ] \
+    || { echo "fused-product drill: $created created nodes, expected at most 180000"; exit 1; }
+# Under a tight node limit the ladder sifts and splits current/next
+# pairs apart; the products then compose the rename with the plain
+# product, and the verdicts stay exact.
+./target/release/examples/export_smv 2 > "$arb"
+out=$(./target/release/smc check --trace --node-limit 10000 --profile "$arb") && rc=0 || rc=$?
+[ "$rc" -eq 1 ] || { echo "fused-product drill: sifted arbiter(2) should exit 1, got $rc"; exit 1; }
+[ "$(grep '^SPEC ' <<<"$out")" = "$(printf 'SPEC 0: holds\nSPEC 1: FAILS\nSPEC 2: FAILS')" ] \
+    || { echo "fused-product drill: sifted verdicts differ: $out"; exit 1; }
+grep -q 'ladder: gc -> sift' <<<"$out" \
+    || { echo "fused-product drill: the node limit never sifted: $out"; exit 1; }
 rm -f "$arb"
 
 echo "== computed-table smoke (a fresh manager starts at 4,096 entries) =="
