@@ -514,7 +514,9 @@ pub(crate) struct VisitScratch {
     /// Reusable stack for iterative walks.
     pub(crate) stack: Vec<u32>,
     /// Per-node numeric memo (used by sat counting); `vals[id]` is valid
-    /// only when `marks[id]` matches the current epoch.
+    /// only when `marks[id]` matches the current epoch. Only sat counting
+    /// grows it, so the walks that just mark (`size`, GC, DOT export)
+    /// never touch it.
     pub(crate) vals: Vec<f64>,
 }
 
@@ -523,7 +525,6 @@ impl VisitScratch {
     pub(crate) fn begin(&mut self, nodes: usize) {
         if self.marks.len() < nodes {
             self.marks.resize(nodes, self.epoch);
-            self.vals.resize(nodes, 0.0);
         }
         if self.epoch == u32::MAX {
             self.marks.iter_mut().for_each(|m| *m = 0);

@@ -68,6 +68,9 @@ impl BddManager {
         let mut scratch = self.scratch.borrow_mut();
         let sc = &mut *scratch;
         sc.begin(self.nodes.len());
+        if sc.vals.len() < self.nodes.len() {
+            sc.vals.resize(self.nodes.len(), 0.0);
+        }
         let c = self.count_rec(f, sc);
         let top = self.level(f).min(nlevels as u32) as i32;
         c * 2f64.powi(top) * 2f64.powi(nvars as i32 - nlevels)

@@ -462,6 +462,26 @@ fn sat_count_small_functions() {
 }
 
 #[test]
+fn only_sat_counting_grows_the_walk_memo() {
+    let (mut m, vars) = manager_with_vars(4);
+    let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
+    let ab = m.and(lits[0], lits[1]);
+    let cd = m.xor(lits[2], lits[3]);
+    let f = m.or(ab, cd);
+    assert_eq!(m.size(f), 5);
+    assert!(m.scratch.borrow().vals.is_empty(), "a size walk grew the sat-count memo");
+    // 16 assignments, minus the 6 with a∧b false and c = d.
+    assert_eq!(m.sat_count(f, 4), 10.0);
+    assert!(m.scratch.borrow().vals.len() >= m.peak_nodes());
+    // A size walk between two counts leaves the memo's entries stale,
+    // never wrong.
+    let g = m.and(f, lits[0]);
+    assert_eq!(m.size(g), 5);
+    assert_eq!(m.sat_count(g, 4), 6.0);
+    assert_eq!(m.sat_count(f, 4), 10.0);
+}
+
+#[test]
 fn one_sat_returns_a_model() {
     let (mut m, vars) = manager_with_vars(3);
     let (a, b, c) = (m.var(vars[0]), m.var(vars[1]), m.var(vars[2]));

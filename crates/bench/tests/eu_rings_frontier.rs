@@ -7,7 +7,8 @@
 //! against the optimized versions on the EXP-2/EXP-3 witness-shape
 //! models (single-SCC ring, SCC chain) and the fair-EG nesting, whose
 //! Gauss–Seidel rounds must end on the textbook rings of random models
-//! too. An `EU` given a stop set records a prefix of its rings. The
+//! too. Backward rings stopped at a stop set, as a closing arc stops
+//! them, record a prefix of the full list. The
 //! verdict-only checker's chained `EU` records no rings, but its set
 //! must be the very BDD of the last ring: on random models over random
 //! event guards, and on the exported Seitz arbiter.
@@ -15,7 +16,7 @@
 use smc_bdd::Bdd;
 use smc_bench::{scc_chain, single_scc_ring, to_symbolic_with_fairness};
 use smc_checker::fair::fair_eg;
-use smc_checker::fixpoint::{check_eg, check_eu, eu_rings};
+use smc_checker::fixpoint::{check_eg, check_eu, eu_rings, BackwardRings};
 use smc_checker::Checker;
 use smc_circuits::arbiter::arbiter;
 use smc_kripke::{SymbolicModel, SymbolicModelBuilder};
@@ -113,7 +114,7 @@ fn eu_rings_bit_identical_to_full_preimage_iteration() {
         let np = model.manager_mut().not(p);
         for (f, g) in [(Bdd::TRUE, p), (np, p), (p, np)] {
             let expected = eu_rings_reference(&mut model, f, g);
-            let actual = eu_rings(&mut model, f, g, Bdd::FALSE).unwrap();
+            let actual = eu_rings(&mut model, f, g).unwrap();
             assert_eq!(expected.len(), actual.len(), "{name}: ring count diverged");
             for (i, (e, a)) in expected.iter().zip(&actual).enumerate() {
                 assert_eq!(e, a, "{name}: ring {i} not bit-identical");
@@ -247,6 +248,19 @@ fn gauss_seidel_fair_eg_ends_on_the_textbook_rings_of_random_models() {
     assert!(nonempty >= 50, "only {nonempty} of 800 fixpoints are non-empty");
 }
 
+/// [`BackwardRings`] stepped until its newest ring meets `stop`, as a
+/// closing arc steps it until a ring meets the successors it closes
+/// from.
+fn rings_stopped_at(model: &mut SymbolicModel, f: Bdd, g: Bdd, stop: Bdd) -> Vec<Bdd> {
+    let mut back = BackwardRings::new(model, g);
+    while !model.manager_mut().intersects(back.frontier(), stop) {
+        if !back.step(model, f, &[stop]).unwrap() {
+            break;
+        }
+    }
+    back.finish(model).unwrap()
+}
+
 #[test]
 fn a_stopped_eu_records_the_prefix_through_the_first_ring_meeting_the_stop_set() {
     let mut stopped_early = 0;
@@ -255,18 +269,18 @@ fn a_stopped_eu_records_the_prefix_through_the_first_ring_meeting_the_stop_set()
         let mut model = random_model(&mut rng);
         let f = random_set(&mut model, &mut rng, 2);
         let g = random_set(&mut model, &mut rng, 8);
-        let full = eu_rings(&mut model, f, g, Bdd::FALSE).unwrap();
+        let full = eu_rings(&mut model, f, g).unwrap();
         assert_eq!(full, eu_rings_reference(&mut model, f, g), "case {case}: unstopped");
         for one_in in [2, 8, 32] {
             let stop = random_set(&mut model, &mut rng, one_in);
             let meets = full.iter().position(|&ring| model.manager_mut().intersects(ring, stop));
             let want = meets.map_or(&full[..], |j| &full[..=j]);
-            let got = eu_rings(&mut model, f, g, stop).unwrap();
+            let got = rings_stopped_at(&mut model, f, g, stop);
             assert_eq!(got, want, "case {case}: stopped at {meets:?}");
             stopped_early += usize::from(got.len() < full.len());
         }
         if !g.is_false() {
-            assert_eq!(eu_rings(&mut model, f, g, g).unwrap(), vec![g], "case {case}");
+            assert_eq!(rings_stopped_at(&mut model, f, g, g), vec![g], "case {case}");
         }
     }
     assert!(stopped_early >= 50, "only {stopped_early} of 300 EUs stopped early");
@@ -404,7 +418,7 @@ fn chained_eu_equals_the_last_ring_on_random_guarded_models() {
             let nf = model.manager_mut().not(f);
             let mut want = Vec::new();
             for (lhs, rhs) in [(f, g), (Bdd::TRUE, g), (nf, g)] {
-                let rings = eu_rings(&mut model, lhs, rhs, Bdd::FALSE).unwrap();
+                let rings = eu_rings(&mut model, lhs, rhs).unwrap();
                 let textbook = eu_rings_reference(&mut model, lhs, rhs);
                 assert_eq!(rings.last(), textbook.last(), "case {case} {kind:?}");
                 want.push(rings[rings.len() - 1]);

@@ -445,7 +445,7 @@ impl<'m> Checker<'m> {
                     let set = eu_chained(self.model, sf, target)?;
                     return Ok(Memo { set, rings: Vec::new() });
                 }
-                let rings = eu_rings(self.model, sf, target, Bdd::FALSE)?;
+                let rings = eu_rings(self.model, sf, target)?;
                 return Ok(Memo { set: rings[rings.len() - 1], rings: vec![rings] });
             }
             Ctl::Eg(f) => {
@@ -482,7 +482,7 @@ impl<'m> Checker<'m> {
             return Ok(rings.clone());
         }
         let (sf, target) = self.eu_operands(f, g)?;
-        let rings = eu_rings(self.model, sf, target, Bdd::FALSE)?;
+        let rings = eu_rings(self.model, sf, target)?;
         for &b in &rings {
             self.model.manager_mut().protect(b);
         }

@@ -162,7 +162,7 @@ fn fair_eg_step(
             // degradation ladder's GC).
             govern::protect_all(model, &[acc, target, f_seeded]);
             shield.extend([acc, target, f_seeded]);
-            let seq = eu_rings(model, f_seeded, target, Bdd::FALSE)?;
+            let seq = eu_rings(model, f_seeded, target)?;
             govern::protect_all(model, &seq);
             shield.extend_from_slice(&seq);
             let ex = check_ex(model, seq[seq.len() - 1]);

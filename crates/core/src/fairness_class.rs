@@ -216,7 +216,7 @@ pub fn witness_efairness(
     shield.extend(rings.iter().flatten());
     govern::protect_all(model, &shield);
     let tail: Result<(Trace, WitnessStats), CheckError> = (|| {
-        let reach = eu_rings(model, Bdd::TRUE, egf, Bdd::FALSE)?;
+        let reach = eu_rings(model, Bdd::TRUE, egf)?;
         let prefix = witness_eu(model, &reach, start)?;
         let entry = prefix
             .last()

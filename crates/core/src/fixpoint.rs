@@ -1,8 +1,8 @@
 //! The basic CTL fixpoint operators of Section 4: `CheckEX`, `CheckEU`
 //! and `CheckEG`. `CheckEU` has two loops. The breadth-first one records
 //! its rings: the witness generator replays them backwards, and callers
-//! that need only the fixpoint take the last one. Given a stop set, it
-//! ends at the first ring that meets it. The chained one
+//! that need only the fixpoint take the last one. It runs one ring per
+//! step, so a fair-`EG` witness can stop it early. The chained one
 //! records none and sweeps backwards over the model's events; the
 //! verdict-only checker runs it for formula-level `EU`s when the model
 //! has event parts.
@@ -40,96 +40,147 @@ pub fn check_ex(model: &mut SymbolicModel, f: Bdd) -> Bdd {
 ///
 /// [`CheckError::ResourceExhausted`] if the manager's budget trips.
 pub fn check_eu(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, CheckError> {
-    let rings = eu_rings(model, f, g, Bdd::FALSE)?;
+    let rings = eu_rings(model, f, g)?;
     Ok(rings[rings.len() - 1])
 }
 
 /// `CheckEU` with the increasing approximation sequence `Q₀ ⊆ Q₁ ⊆ …`
 /// (the "onion rings"): `Qᵢ` is the set of states that can reach `g` in
 /// `i` or fewer steps while passing only through `f`-states. The list is
-/// never empty.
-///
-/// The loop ends after the first ring that meets `stop`, or at the
-/// fixpoint if none does; then the last element is the `E[f U g]`
-/// fixpoint. With `stop = ∅` the whole sequence is recorded. A stopped
-/// list is a prefix of the full one: the closing arc of a fair-`EG`
-/// witness passes the successors of the state it closes from, since its
-/// walk never reads past the first ring one of them lies in.
+/// never empty, and its last element is the `E[f U g]` fixpoint.
 ///
 /// Section 6 of the paper saves exactly these sequences (from the last
 /// outer fair-`EG` iteration) so witness construction can walk a shortest
 /// ring-decreasing path to each fairness constraint.
 ///
-/// Iterates on the *frontier*: each round takes the preimage of only the
-/// states added in the previous round. Any `f`-state with a successor in
-/// an older ring was itself added in an older round, so every ring is
-/// bit-identical to the textbook full-preimage iteration — at the cost of
-/// a preimage of the (small) delta instead of the whole set.
+/// Runs [`BackwardRings`] to its fixpoint.
 ///
 /// # Errors
 ///
 /// [`CheckError::ResourceExhausted`] if the manager's budget trips; the
 /// partial report carries the number of rings recorded so far.
-pub fn eu_rings(
-    model: &mut SymbolicModel,
-    f: Bdd,
-    g: Bdd,
-    stop: Bdd,
-) -> Result<Vec<Bdd>, CheckError> {
+pub fn eu_rings(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
     let span = obs::span_start(model, SpanKind::CheckEu, None);
-    let result = eu_rings_inner(model, f, g, stop);
+    let result = eu_rings_inner(model, f, g);
     obs::span_end(model, span);
     result
 }
 
-fn eu_rings_inner(
-    model: &mut SymbolicModel,
-    f: Bdd,
-    g: Bdd,
-    stop: Bdd,
-) -> Result<Vec<Bdd>, CheckError> {
-    let mut watch = FixObserver::new(model, FixKind::Eu);
-    let mut rings = vec![g];
-    let mut z = g;
-    let mut frontier = g;
-    let mut iters = 0u64;
-    // The rings before the newest miss `stop`, so only its new states
-    // can meet it.
-    while !frontier.is_false()
-        && (stop.is_false() || !model.manager_mut().intersects(frontier, stop))
-    {
-        let ex = check_ex(model, frontier);
+fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
+    let mut back = BackwardRings::new(model, g);
+    while back.step(model, f, &[])? {}
+    back.finish(model)
+}
+
+/// The breadth-first loop of [`eu_rings`], one ring per
+/// [`step`](Self::step). The fair-`EG` witness races it against a
+/// forward search when it closes a cycle, and stops it at the first ring
+/// a successor of the closing state lies in: a stopped list is a prefix
+/// of the full one.
+///
+/// Iterates on the *frontier*: each step takes the preimage of only the
+/// states the previous step added. Any `f`-state with a successor in an
+/// older ring was itself added in an older step, so every ring is
+/// bit-identical to the textbook full-preimage iteration — at the cost of
+/// a preimage of the (small) delta instead of the whole set.
+pub struct BackwardRings {
+    rings: Vec<Bdd>,
+    frontier: Bdd,
+    iters: u64,
+    watch: FixObserver,
+}
+
+impl BackwardRings {
+    /// Starts at `Q₀ = g`.
+    pub fn new(model: &SymbolicModel, g: Bdd) -> BackwardRings {
+        let watch = FixObserver::new(model, FixKind::Eu);
+        BackwardRings { rings: vec![g], frontier: g, iters: 0, watch }
+    }
+
+    /// The rings recorded so far, `Q₀` first.
+    pub fn rings(&self) -> &[Bdd] {
+        &self.rings
+    }
+
+    /// The states the newest ring added (`g` before the first step); `∅`
+    /// once the fixpoint is reached. A set the older rings miss meets the
+    /// newest ring exactly when it meets this one.
+    pub fn frontier(&self) -> Bdd {
+        self.frontier
+    }
+
+    /// Adds the next ring `Qᵢ₊₁ = Qᵢ ∨ (f ∧ EX frontier)`. Returns
+    /// `false`, recording nothing, once it would add no state (the last
+    /// ring is then the fixpoint). The step ends at a checkpoint whose
+    /// roots are the rings, the step's new sets, `f` and `roots`:
+    /// everything else the caller holds must be protected.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::ResourceExhausted`] if the manager's budget trips.
+    pub fn step(
+        &mut self,
+        model: &mut SymbolicModel,
+        f: Bdd,
+        roots: &[Bdd],
+    ) -> Result<bool, CheckError> {
+        if self.frontier.is_false() {
+            return Ok(false);
+        }
+        let z = self.rings[self.rings.len() - 1];
+        let ex = check_ex(model, self.frontier);
         let step = model.manager_mut().and(f, ex);
         let add = model.manager_mut().diff(step, z);
-        iters += 1;
-        let progress = Progress { iterations: iters, rings: rings.len() as u64, approx: Some(z) };
-        let done = add.is_false();
-        let next = if done { z } else { model.manager_mut().or(z, add) };
+        self.iters += 1;
+        let progress =
+            Progress { iterations: self.iters, rings: self.rings.len() as u64, approx: Some(z) };
+        let next = if add.is_false() { z } else { model.manager_mut().or(z, add) };
         // Every recorded ring must survive a ladder GC, so the whole
         // prefix rides along as checkpoint roots (appended to the ring
-        // list for the call only), and so does the stop set, which the
-        // loop tests after the checkpoint.
-        let recorded = rings.len();
-        rings.extend([f, g, stop, next, add]);
-        let safe = govern::checkpoint(model, Phase::EuFixpoint, progress, &rings);
-        rings.truncate(recorded);
+        // list for the call only).
+        let recorded = self.rings.len();
+        self.rings.extend([f, next, add]);
+        self.rings.extend_from_slice(roots);
+        let safe = govern::checkpoint(model, Phase::EuFixpoint, progress, &self.rings);
+        self.rings.truncate(recorded);
         safe?;
-        if done {
-            break;
+        self.frontier = add;
+        if add.is_false() {
+            return Ok(false);
         }
-        z = next;
-        rings.push(z);
-        frontier = add;
-        watch.iter(model, iters, frontier, z);
+        self.rings.push(next);
+        self.watch.iter(model, self.iters, add, next);
+        Ok(true)
     }
-    // Zero-iteration case (g = ∅, or g meets the stop set): no
-    // checkpoint ran, and a pending trip must not escape as a bogus Ok.
-    govern::poll(
-        model,
-        Phase::EuFixpoint,
-        Progress { iterations: iters, rings: rings.len() as u64, approx: Some(z) },
-    )?;
-    Ok(rings)
+
+    /// Reports a step some other search took within this fixpoint's span
+    /// through the same observer, so per-iteration counters stay deltas.
+    pub(crate) fn observe(
+        &mut self,
+        model: &SymbolicModel,
+        iteration: u64,
+        frontier: Bdd,
+        approx: Bdd,
+    ) {
+        self.watch.iter(model, iteration, frontier, approx);
+    }
+
+    /// The rings, after a poll: with `g = ∅`, or a caller that stops
+    /// before the first step, no checkpoint ran, and a pending trip must
+    /// not escape as a bogus `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::ResourceExhausted`] if the manager's budget tripped.
+    pub fn finish(self, model: &mut SymbolicModel) -> Result<Vec<Bdd>, CheckError> {
+        let z = self.rings[self.rings.len() - 1];
+        govern::poll(
+            model,
+            Phase::EuFixpoint,
+            Progress { iterations: self.iters, rings: self.rings.len() as u64, approx: Some(z) },
+        )?;
+        Ok(self.rings)
+    }
 }
 
 /// `CheckEU(f, g)` chained: from `Z = g`, each iteration is one
@@ -288,7 +339,7 @@ mod tests {
         let hi = m.ap("hi").unwrap();
         let lo = m.ap("lo").unwrap();
         let sat = m.manager_mut().and(hi, lo);
-        let rings = eu_rings(&mut m, Bdd::TRUE, sat, Bdd::FALSE).unwrap();
+        let rings = eu_rings(&mut m, Bdd::TRUE, sat).unwrap();
         // 11 at distance 0; 10 at 1; 01 at 2; 00 at 3.
         assert_eq!(rings.len(), 4);
         for w in rings.windows(2) {

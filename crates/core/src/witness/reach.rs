@@ -11,11 +11,13 @@ use smc_kripke::{State, SymbolicModel};
 
 use crate::error::CheckError;
 use crate::govern::{self, Progress};
+use crate::witness::ring_below;
 use crate::Phase;
 
 /// Constructs a shortest `E[f U g]` witness: a path from `start` through
-/// `f`-states to a `g`-state, walking backwards the approximation rings
-/// the `EU` fixpoint saved ([`eu_rings`](crate::fixpoint::eu_rings)).
+/// `f`-states to a `g`-state, walking backwards the breadth-first
+/// approximation rings the `EU` fixpoint saved
+/// ([`eu_rings`](crate::fixpoint::eu_rings)), one ring per step.
 /// Returns the path including both endpoints (a single state if `start`
 /// already satisfies `g`).
 ///
@@ -33,12 +35,8 @@ pub fn witness_eu(
     };
     let mut path = vec![start.clone()];
     let mut current = start.clone();
-    while j > 0 && !model.eval_state(rings[0], &current) {
-        let succ = model.successors(&current);
-        let step = (0..j).find_map(|jj| {
-            let cand = model.manager_mut().and(succ, rings[jj]);
-            model.pick_state(cand).map(|st| (jj, st))
-        });
+    while j > 0 {
+        let step = ring_below(model, &current, rings, j);
         // Poll before concluding anything from this step: after a trip the
         // successor/intersection BDDs are dummies, and the budget error
         // must win over a bogus "descent stuck" report. No GC happens in a
@@ -48,11 +46,11 @@ pub fn witness_eu(
             Phase::WitnessEu,
             Progress { iterations: path.len() as u64, rings: rings.len() as u64, approx: None },
         )?;
-        let (jj, next) =
+        let next =
             step.ok_or_else(|| CheckError::WitnessConstruction("EU ring descent stuck".into()))?;
         path.push(next.clone());
         current = next;
-        j = jj;
+        j -= 1;
     }
     Ok(path)
 }

@@ -11,7 +11,11 @@
 //! events (built lazily at the first sweep) and record rings only when a
 //! trace walks them. On an exported circuit whose fair `EG` takes
 //! several Gauss–Seidel rounds, every allocation of a traced check takes
-//! a fault.
+//! a fault, and so does every allocation of fair cycles' closing arcs
+//! that a forward search decides and that the backward rings decide,
+//! with or without a collection inside them.
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use smc_bdd::{Bdd, Budget, FaultPlan, TripReason};
@@ -19,6 +23,7 @@ use smc_checker::fixpoint::eu_rings;
 use smc_checker::{CheckError, Checker, Trace};
 use smc_kripke::{SymbolicModel, SymbolicModelBuilder};
 use smc_logic::{ctl, ctlstar};
+use smc_obs::{Event, EventCtx, Sink, SpanKind, Telemetry};
 
 /// x toggles every step.
 fn toggle() -> SymbolicModel {
@@ -68,6 +73,15 @@ fn selected() -> SymbolicModel {
 /// witness the fair `EG TRUE` lasso with its closing arc.
 fn c_element_ring_5() -> SymbolicModel {
     let source = smc_circuits::families::c_element_ring(5).to_smv();
+    smc_smv::compile(&source).expect("the export compiles").model
+}
+
+/// The exported seven-stage inverter ring. The fair `EG TRUE` lasso from
+/// its initial state restarts once and then closes; the forward search
+/// decides both closing arcs. (The C-element ring's single arc is decided
+/// by the backward rings; `witness::eg`'s unit tests pin both.)
+fn inverter_ring_7() -> SymbolicModel {
+    let source = smc_circuits::families::inverter_ring(7).to_smv();
     smc_smv::compile(&source).expect("the export compiles").model
 }
 
@@ -265,7 +279,7 @@ fn toggle_reference() -> (bool, Vec<Bdd>, Trace) {
     let mut m = toggle();
     let x = m.ap("x").expect("declared");
     let nx = m.manager_mut().not(x);
-    let rings = eu_rings(&mut m, nx, x, Bdd::FALSE).expect("unbudgeted rings");
+    let rings = eu_rings(&mut m, nx, x).expect("unbudgeted rings");
     let mut c = Checker::new(&mut m);
     let holds = c.check(&ctl::parse("AG (AF x)").expect("parse")).expect("verdict").holds();
     let trace = c.witness(&ctl::parse("EF x").expect("parse")).expect("witness");
@@ -299,12 +313,12 @@ proptest! {
         let rings = {
             let x = m.ap("x").expect("declared");
             let nx = m.manager_mut().not(x);
-            match eu_rings(&mut m, nx, x, Bdd::FALSE) {
+            match eu_rings(&mut m, nx, x) {
                 Ok(r) => r,
                 Err(CheckError::ResourceExhausted { .. }) => {
                     let x = m.ap("x").expect("declared");
                     let nx = m.manager_mut().not(x);
-                    eu_rings(&mut m, nx, x, Bdd::FALSE).expect("one-shot fault cannot re-fire")
+                    eu_rings(&mut m, nx, x).expect("one-shot fault cannot re-fire")
                 }
                 Err(other) => panic!("rings: unexpected error: {other}"),
             }
@@ -367,4 +381,124 @@ fn rings_recorded_on_the_first_walk_survive_collections() {
         }
     }
     assert!(collected >= 8, "only {collected} limits collected more than once");
+}
+
+/// What [`ClosingArcs`] saw of the closing arcs: the `check_eu` spans
+/// inside witness spans.
+#[derive(Default)]
+struct ArcLog {
+    witness_depth: usize,
+    arc_open: bool,
+    /// Each arc's node-pool high-water marks at its start and end (exact
+    /// while nothing is collected: every allocation adds a slot).
+    arcs: Vec<(u64, u64)>,
+    /// Collections that ran inside an arc.
+    collections: usize,
+}
+
+struct ClosingArcs(Arc<Mutex<ArcLog>>);
+
+impl Sink for ClosingArcs {
+    fn record(&mut self, _ctx: &EventCtx, event: &Event) {
+        let mut log = self.0.lock().expect("log lock");
+        match event {
+            Event::SpanStart { kind: SpanKind::Witness, .. } => log.witness_depth += 1,
+            Event::SpanEnd { kind: SpanKind::Witness, .. } => log.witness_depth -= 1,
+            Event::SpanStart { kind: SpanKind::CheckEu, .. } if log.witness_depth > 0 => {
+                log.arc_open = true;
+            }
+            Event::SpanEnd { kind: SpanKind::CheckEu, peak_nodes, delta, .. }
+                if log.witness_depth > 0 =>
+            {
+                log.arc_open = false;
+                log.arcs.push((peak_nodes.saturating_sub(delta.created_nodes), *peak_nodes));
+            }
+            Event::Gc { .. } if log.arc_open => log.collections += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Runs `run` on `model` with a [`ClosingArcs`] sink attached.
+fn watch_arcs<T>(
+    model: &mut SymbolicModel,
+    run: impl FnOnce(&mut SymbolicModel) -> T,
+) -> (T, ArcLog) {
+    let log = Arc::new(Mutex::new(ArcLog::default()));
+    let tele = Telemetry::new();
+    tele.add_sink(Box::new(ClosingArcs(log.clone())));
+    model.manager_mut().set_telemetry(tele);
+    let out = run(model);
+    model.manager_mut().set_telemetry(Telemetry::disabled());
+    let log = std::mem::take(&mut *log.lock().expect("log lock"));
+    (out, log)
+}
+
+/// Faults `EG TRUE`'s traced check, on both checkers, at every
+/// allocation of its closing arc number `arc` (of `arcs`), and one past
+/// it.
+fn assert_closing_arc_recovery(
+    label: &str,
+    make_model: fn() -> SymbolicModel,
+    arc: usize,
+    arcs: usize,
+) {
+    let spec = ctl::parse("EG TRUE").expect("parse");
+    let run = |c: &mut Checker| {
+        c.check_with_trace(&spec).map(|o| (o.verdict.holds(), o.verdict.states, o.trace))
+    };
+    for verdicts_only in [false, true] {
+        let mut model = make_model();
+        let base = model.manager().peak_nodes() as u64;
+        let (want, log) = watch_arcs(&mut model, |m| run(&mut checker(m, verdicts_only)));
+        let want = want.expect("uninterrupted run");
+        assert_eq!(model.manager().stats().gc_runs, 0, "{label}");
+        assert_eq!(log.arcs.len(), arcs, "{label}: closing arcs");
+        // Allocation n after injection is the one that lifts the
+        // high-water mark to base + n.
+        let (start, end) = log.arcs[arc];
+        let points: Vec<(u64, bool)> =
+            (start - base + 1..=end - base + 1).flat_map(|at| [(at, true), (at, false)]).collect();
+        assert!(points.len() >= 400, "{label}: only {} fault points", points.len());
+        assert_recovery_at(label, &make_model, &run, verdicts_only, &points, &want);
+    }
+}
+
+#[test]
+fn a_forward_decided_closing_arc_recovers_from_faults_at_every_allocation() {
+    // The ring's second arc closes: its forward layers, then the band.
+    assert_closing_arc_recovery("forward-decided close", inverter_ring_7, 1, 2);
+}
+
+#[test]
+fn a_backward_decided_closing_arc_recovers_from_faults_at_every_allocation() {
+    assert_closing_arc_recovery("backward-decided close", c_element_ring_5, 0, 1);
+}
+
+/// Like [`rings_recorded_on_the_first_walk_survive_collections`], for
+/// the closing arcs: under node limits at which the ladder collects
+/// inside a race (but never sifts), the lasso is the unbudgeted one.
+#[test]
+fn collections_inside_a_closing_race_keep_the_lasso() {
+    let spec = ctl::parse("EG TRUE").expect("parse");
+    for (label, make_model) in [
+        ("forward-decided", inverter_ring_7 as fn() -> SymbolicModel),
+        ("backward-decided", c_element_ring_5),
+    ] {
+        let want = Checker::new(&mut make_model()).check_with_trace(&spec).expect("checks").trace;
+        let mut collected = 0;
+        for limit in (200..3000).step_by(100) {
+            let mut model = make_model();
+            model.manager_mut().set_budget(Budget::new().with_node_limit(limit));
+            let (got, log) = watch_arcs(&mut model, |m| Checker::new(m).check_with_trace(&spec));
+            let m = model.manager();
+            let (Ok(got), 0) = (got, m.ladder_stage()) else {
+                continue;
+            };
+            m.validate().expect("no dangling protected roots");
+            assert_eq!(got.trace, want, "{label} under a {limit}-node limit");
+            collected += usize::from(log.collections > 0);
+        }
+        assert!(collected >= 4, "{label}: only {collected} limits collected inside a closing arc");
+    }
 }

@@ -58,7 +58,7 @@ fn run_queries(source: &str, sample: bool) -> (RunResult, Vec<Event>) {
 
     let init = compiled.model.init();
     let reach = compiled.model.reachable().expect("reachable");
-    let rings = eu_rings(&mut compiled.model, reach, init, Bdd::FALSE).expect("rings");
+    let rings = eu_rings(&mut compiled.model, reach, init).expect("rings");
 
     let specs = compiled.specs.clone();
     let mut checker = Checker::new(&mut compiled.model);

@@ -29,7 +29,7 @@ fn run_queries(source: &str) -> RunResult {
     let mut compiled = smc_smv::compile(source).expect("generated model compiles");
     let init = compiled.model.init();
     let reach = compiled.model.reachable().expect("reachable");
-    let rings = eu_rings(&mut compiled.model, reach, init, Bdd::FALSE).expect("rings");
+    let rings = eu_rings(&mut compiled.model, reach, init).expect("rings");
 
     let specs = compiled.specs.clone();
     let mut checker = Checker::new(&mut compiled.model);

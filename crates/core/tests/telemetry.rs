@@ -106,7 +106,7 @@ fn eu_rings_are_bit_identical_with_telemetry() {
     assert_observer_is_pure("eu_rings", toggle, |m| {
         let x = m.ap("x").expect("declared");
         let nx = m.manager_mut().not(x);
-        eu_rings(m, nx, x, Bdd::FALSE).expect("rings")
+        eu_rings(m, nx, x).expect("rings")
     });
 }
 
@@ -184,7 +184,7 @@ fn free_or_toggle(fair: bool) -> SymbolicModel {
 fn run_once(m: &mut SymbolicModel, formula: &str) -> (bool, Vec<Bdd>, Option<Trace>) {
     let x = m.ap("x").expect("declared");
     let nx = m.manager_mut().not(x);
-    let rings = eu_rings(m, nx, x, Bdd::FALSE).expect("rings");
+    let rings = eu_rings(m, nx, x).expect("rings");
     let spec = ctl::parse(formula).expect("parse");
     let mut c = Checker::new(m);
     let out = c.check_with_trace(&spec).expect("checked");

@@ -212,6 +212,53 @@ fn node_limit_exhaustion_exits_3_with_diagnostics() {
     std::fs::remove_file(path).ok();
 }
 
+/// FNV-1a 64 of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn circuit_traces_keep_their_pinned_digests() {
+    // Digests of `smc check --trace` stdout, recorded before closing arcs
+    // raced a forward search against the backward rings: which direction
+    // decides a close must never change a lasso.
+    use smc::circuits::families::{c_element_ring, inverter_ring, muller_pipeline};
+    let circuits = [
+        ("ring7", inverter_ring(7), ["EG TRUE", "EF (inv0 & inv1)", "AG AF inv0"]),
+        ("pipe6", muller_pipeline(6), ["AG AF c1", "EF (c1 & c2)", "EG !c1"]),
+        ("cring6", c_element_ring(6), ["AG AF c0", "EF (c0 & c1)", "AG !(c0 & c1)"]),
+    ];
+    let mut got = Vec::new();
+    for (name, net, specs) in circuits {
+        let mut source = net.to_smv();
+        for spec in specs {
+            source += &format!("SPEC {spec}\n");
+        }
+        let path = write_temp(name, &source);
+        for strategy in ["restart", "stayset"] {
+            let out = smc()
+                .args(["check", "--trace", "--strategy", strategy])
+                .arg(&path)
+                .output()
+                .expect("runs");
+            let code = out.status.code().expect("exit code");
+            got.push(format!("{name} {strategy} {code} {:016x}", fnv1a(&out.stdout)));
+        }
+        std::fs::remove_file(path).ok();
+    }
+    let want = [
+        "ring7 restart 0 34762bc93f48789d",
+        "ring7 stayset 0 faa7cdffc655dec4",
+        "pipe6 restart 1 13f63c57c9faa94d",
+        "pipe6 stayset 1 c3c236bc35953136",
+        "cring6 restart 1 62f69c1ec02a78ea",
+        "cring6 stayset 1 62f69c1ec02a78ea",
+    ];
+    assert_eq!(got, want);
+}
+
 #[test]
 fn gc_under_a_node_limit_keeps_an_exported_circuit_trace_identical() {
     // The free scheduler input `sel` gives the exported circuit a
